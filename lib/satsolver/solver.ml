@@ -1,14 +1,5 @@
 type result = Sat | Unsat
 
-type clause = {
-  cid : int;
-  lits : int array; (* watched literals at positions 0 and 1 *)
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int; (* glue (distinct decision levels); 0 for originals *)
-  mutable removed : bool;
-}
-
 (* Bookkeeping needed to rebuild refutations after clause deletion: original
    clauses keep their tag, learnt clauses keep the premises they were
    resolved from.  Premise entries >= 0 are clause ids; a negative entry
@@ -24,18 +15,6 @@ type cid_info =
    order) interleaved with the deletions performed by DB reduction. *)
 type proof_step = Padd of Lit.t list | Pdel of Lit.t list
 
-let dummy_clause =
-  { cid = -1; lits = [||]; learnt = false; activity = 0.; lbd = 0; removed = true }
-
-(* One watch-list entry.  [blocker] is a literal of the clause other than the
-   watched one: when it is already true the clause is satisfied and the
-   clause cells are never touched, which is where most propagation cache
-   misses used to come from.  For binary clauses the blocker is exactly the
-   other literal, so propagation resolves them entirely from the watcher. *)
-type watcher = { mutable blocker : int; wcl : clause }
-
-let dummy_watcher = { blocker = 0; wcl = dummy_clause }
-
 (* Cumulative search statistics, cheap enough to keep always-on. *)
 type stats = {
   conflicts : int;
@@ -47,7 +26,7 @@ type stats = {
   db_reductions : int;
   minimised_lits : int;  (* literals removed by conflict-clause minimisation *)
   avg_lbd : float;  (* mean LBD over all learnt clauses *)
-  solve_time_s : float;  (* wall time spent inside [solve] *)
+  solve_time_s : float;  (* time spent inside [solve], on the [Obs.now] clock *)
   shared_out : int;  (* learnt clauses accepted by the share callback *)
   shared_in : int;  (* peer clauses imported via [import_clauses] *)
 }
@@ -68,25 +47,79 @@ let empty_stats =
     shared_in = 0;
   }
 
+(* {2 Data layout}
+
+   Clauses live in one growable [int array], the arena.  A clause reference
+   (cref) is the index of the clause's three-word header:
+
+     arena.(cr)       size lsl 2, lor 2 if removed, lor 1 if learnt
+     arena.(cr + 1)   clause id (cid)
+     arena.(cr + 2)   LBD (glue); 0 for original clauses
+     arena.(cr + 3)…  the literals, the two watched ones first
+
+   Clause activity lives apart, in a [float array] indexed by cid, so that
+   no float is boxed.  A variable's reason is a cref, or -1.  The watch list
+   of a literal is an [int array]: slot 0 holds the number of words in use,
+   then come (blocker, tagged cref) pairs, where the tag (bit 0) marks a
+   binary clause.  The blocker is a literal of the clause other than the
+   watched one: when it is already true the clause is satisfied and its
+   arena words are never loaded.  For a binary clause the blocker is the
+   other literal, so propagation resolves it from the watch entry alone and
+   leaves its literal order alone; whoever reads a binary clause orients it
+   first ([reason_of] for reasons, [propagate] for a conflict).
+
+   dune's default (dev) profile compiles with -opaque, which rules out
+   inlining across modules, so the literal, growable-array and heap helpers
+   the hot paths call are defined here rather than taken from [Lit]. *)
+
+let hdr = 3
+let learnt_bit = 1
+let removed_bit = 2
+
+(* Per-clause footprint in words: header, literals and the two watch
+   pairs.  The learnt-DB memory budget counts this for every live learnt
+   clause. *)
+let clause_words n = hdr + n + 4
+
+(* Arena words held by removed clauses, as a share of the arena, past which
+   [reduce_db] compacts the arena. *)
+let garbage_fraction = 0.2
+
+let[@inline] var l = l lsr 1
+let[@inline] negate l = l lxor 1
+let[@inline] positive l = l land 1 = 0
+
 type t = {
   mutable nvars : int;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  mutable watches : watcher Vec.t array; (* indexed by literal *)
+  mutable arena : int array;
+  mutable arena_top : int; (* first free word *)
+  mutable garbage : int; (* arena words held by removed clauses *)
+  mutable clauses : int array; (* crefs of original clauses, insertion order *)
+  mutable n_clauses : int;
+  mutable learnts : int array; (* crefs of live learnt clauses, learning order *)
+  mutable n_learnts : int;
+  mutable clause_act : float array; (* cid -> activity *)
+  mutable watches : int array array; (* indexed by literal *)
   mutable assign : int array; (* var -> -1 undef / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array; (* var -> cref, -1 for none *)
   mutable phase : bool array;
   mutable seen : int array; (* 0 unseen / 1 in-clause / 2 removable / 3 failed *)
   mutable level_stamp : int array; (* level -> stamp, for LBD counting *)
   mutable stamp : int;
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  mutable trail : int array; (* sized to the variable capacity *)
+  mutable trail_size : int;
+  mutable trail_lim : int array;
+  mutable n_levels : int; (* decision level = used prefix of [trail_lim] *)
   mutable qhead : int;
-  activity : float array ref;
+  mutable activity : float array; (* VSIDS score per variable *)
   mutable var_inc : float;
   mutable cla_inc : float;
-  order : Order_heap.t;
+  (* VSIDS decision order: a binary max-heap of variables keyed by
+     [activity], with each variable's heap position (-1 when absent). *)
+  mutable heap : int array;
+  mutable heap_size : int;
+  mutable heap_pos : int array;
   cid_info : (int, cid_info) Hashtbl.t;
   mutable next_cid : int;
   mutable ok : bool;
@@ -138,27 +171,39 @@ let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 let var_marker v = -v - 1
 
+(* A fresh watch list: four pairs of room. *)
+let empty_watches () = Array.make 9 0
+
 let create () =
-  let activity = ref (Array.make 64 0.0) in
   {
     nvars = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
-    watches = Array.init 128 (fun _ -> Vec.create ~capacity:4 ~dummy:dummy_watcher ());
+    arena = Array.make 1024 0;
+    arena_top = 0;
+    garbage = 0;
+    clauses = Array.make 64 0;
+    n_clauses = 0;
+    learnts = Array.make 64 0;
+    n_learnts = 0;
+    clause_act = Array.make 64 0.0;
+    watches = Array.init 128 (fun _ -> empty_watches ());
     assign = Array.make 64 (-1);
     level = Array.make 64 (-1);
-    reason = Array.make 64 None;
+    reason = Array.make 64 (-1);
     phase = Array.make 64 false;
     seen = Array.make 64 0;
     level_stamp = Array.make 65 0;
     stamp = 0;
-    trail = Vec.create ~dummy:0 ();
-    trail_lim = Vec.create ~dummy:0 ();
+    trail = Array.make 64 0;
+    trail_size = 0;
+    trail_lim = Array.make 64 0;
+    n_levels = 0;
     qhead = 0;
-    activity;
+    activity = Array.make 64 0.0;
     var_inc = 1.0;
     cla_inc = 1.0;
-    order = Order_heap.create ~activity:(fun v -> !activity.(v));
+    heap = Array.make 64 0;
+    heap_size = 0;
+    heap_pos = Array.make 64 (-1);
     cid_info = Hashtbl.create 1024;
     next_cid = 0;
     ok = true;
@@ -235,8 +280,8 @@ let proof_log t =
     (List.filter_map (function Padd c -> Some c | Pdel _ -> None) t.proof_steps)
 
 let num_vars t = t.nvars
-let num_clauses t = Vec.size t.clauses
-let num_learnts t = Vec.size t.learnts
+let num_clauses t = t.n_clauses
+let num_learnts t = t.n_learnts
 let num_conflicts t = t.conflicts
 let num_decisions t = t.decisions
 let num_propagations t = t.propagations
@@ -260,46 +305,182 @@ let stats t =
     shared_in = t.shared_in;
   }
 
+(* {2 Growable arrays} *)
+
+(* [a] with room for at least [n] elements; the first [used] are kept and
+   the rest read [fill]. *)
+let reserve a n used fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (Array.length a + (Array.length a / 2) + 1)) fill in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+let push_int a size x =
+  let a = reserve a (size + 1) size 0 in
+  Array.unsafe_set a size x;
+  a
+
 let grow_arrays t n =
   let old = Array.length t.assign in
   if n > old then begin
     let cap = max (2 * old) n in
-    let grow_int a def =
+    let grow a def =
       let b = Array.make cap def in
       Array.blit a 0 b 0 old;
       b
     in
-    t.assign <- grow_int t.assign (-1);
-    t.level <- grow_int t.level (-1);
-    t.seen <- grow_int t.seen 0;
-    (let b = Array.make (cap + 1) 0 in
-     Array.blit t.level_stamp 0 b 0 (Array.length t.level_stamp);
-     t.level_stamp <- b);
-    (let b = Array.make cap None in
-     Array.blit t.reason 0 b 0 old;
-     t.reason <- b);
-    (let b = Array.make cap t.phase_default in
-     Array.blit t.phase 0 b 0 old;
-     t.phase <- b);
-    let acts = Array.make cap 0.0 in
-    Array.blit !(t.activity) 0 acts 0 old;
-    t.activity := acts
+    t.assign <- grow t.assign (-1);
+    t.level <- grow t.level (-1);
+    t.reason <- grow t.reason (-1);
+    t.seen <- grow t.seen 0;
+    t.trail <- grow t.trail 0;
+    t.heap <- grow t.heap 0;
+    t.heap_pos <- grow t.heap_pos (-1);
+    t.phase <- grow t.phase t.phase_default;
+    t.activity <- grow t.activity 0.0;
+    let b = Array.make (cap + 1) 0 in
+    Array.blit t.level_stamp 0 b 0 (Array.length t.level_stamp);
+    t.level_stamp <- b
   end;
   let oldw = Array.length t.watches in
   if 2 * n > oldw then begin
     let cap = max (2 * oldw) (2 * n) in
-    let w = Array.init cap (fun i ->
-        if i < oldw then t.watches.(i)
-        else Vec.create ~capacity:4 ~dummy:dummy_watcher ())
-    in
-    t.watches <- w
+    t.watches <-
+      Array.init cap (fun i -> if i < oldw then t.watches.(i) else empty_watches ())
+  end
+
+(* {2 The clause arena} *)
+
+(* Store a clause and return its cref.  The arena may move: callers re-read
+   [t.arena] afterwards. *)
+let alloc_clause t ~learnt ~cid ~lbd lits =
+  let n = List.length lits in
+  let cr = t.arena_top in
+  let top = cr + hdr + n in
+  t.arena <- reserve t.arena top cr 0;
+  let a = t.arena in
+  a.(cr) <- (n lsl 2) lor (if learnt then learnt_bit else 0);
+  a.(cr + 1) <- cid;
+  a.(cr + 2) <- lbd;
+  List.iteri (fun i l -> a.(cr + hdr + i) <- l) lits;
+  t.arena_top <- top;
+  t.clause_act <- reserve t.clause_act (cid + 1) (Array.length t.clause_act) 0.0;
+  cr
+
+let[@inline] clause_size t cr = t.arena.(cr) lsr 2
+
+let clause_lits t cr =
+  let base = cr + hdr in
+  List.init (clause_size t cr) (fun i -> t.arena.(base + i))
+
+let watch t lit blocker tagged =
+  let ws = t.watches.(lit) in
+  let n = ws.(0) in
+  let ws =
+    if n + 2 < Array.length ws then ws
+    else begin
+      let w = reserve ws (n + 3) (n + 1) 0 in
+      t.watches.(lit) <- w;
+      w
+    end
+  in
+  ws.(n + 1) <- blocker;
+  ws.(n + 2) <- tagged;
+  ws.(0) <- n + 2
+
+let attach_clause t cr =
+  let c = cr + hdr in
+  let l0 = t.arena.(c) and l1 = t.arena.(c + 1) in
+  let tagged = (cr lsl 1) lor (if clause_size t cr = 2 then 1 else 0) in
+  watch t l0 l1 tagged;
+  watch t l1 l0 tagged
+
+(* {2 VSIDS order heap}
+
+   The sift loops move a hole up/down and drop the element in once, rather
+   than swapping at every level; scores are read straight from the
+   [activity] float array. *)
+
+let heap_sift_up t i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i in
+  let continue_ = ref true in
+  while !continue_ && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pv = heap.(parent) in
+    if a > act.(pv) then begin
+      heap.(!i) <- pv;
+      pos.(pv) <- !i;
+      i := parent
+    end
+    else continue_ := false
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let heap_sift_down t i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity in
+  let n = t.heap_size in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i in
+  let continue_ = ref true in
+  while !continue_ do
+    let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+    if left >= n then continue_ := false
+    else begin
+      let child =
+        if right < n && act.(heap.(right)) > act.(heap.(left)) then right else left
+      in
+      let cv = heap.(child) in
+      if act.(cv) > a then begin
+        heap.(!i) <- cv;
+        pos.(cv) <- !i;
+        i := child
+      end
+      else continue_ := false
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let heap_insert t v =
+  if t.heap_pos.(v) < 0 then begin
+    let i = t.heap_size in
+    t.heap.(i) <- v;
+    t.heap_pos.(v) <- i;
+    t.heap_size <- i + 1;
+    heap_sift_up t i
+  end
+
+let heap_remove_max t =
+  let v = t.heap.(0) in
+  let n = t.heap_size - 1 in
+  t.heap_size <- n;
+  t.heap_pos.(v) <- -1;
+  if n > 0 then begin
+    let last = t.heap.(n) in
+    t.heap.(0) <- last;
+    t.heap_pos.(last) <- 0;
+    heap_sift_down t 0
+  end;
+  v
+
+let heap_update t v =
+  if t.heap_pos.(v) >= 0 then begin
+    heap_sift_up t t.heap_pos.(v);
+    heap_sift_down t t.heap_pos.(v)
   end
 
 let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   grow_arrays t t.nvars;
-  Order_heap.insert t.order v;
+  heap_insert t v;
   v
 
 let ensure_vars t n =
@@ -308,14 +489,12 @@ let ensure_vars t n =
   done
 
 (* -1 undef / 0 false / 1 true *)
-let lit_value t l =
-  let v = t.assign.(Lit.var l) in
-  if v < 0 then -1 else if Lit.sign l then v else 1 - v
-
-let decision_level t = Vec.size t.trail_lim
+let[@inline] lit_value t l =
+  let v = t.assign.(var l) in
+  if v < 0 then -1 else v lxor (l land 1)
 
 let bump_var t v =
-  let a = !(t.activity) in
+  let a = t.activity in
   a.(v) <- a.(v) +. t.var_inc;
   if a.(v) > 1e100 then begin
     for i = 0 to t.nvars - 1 do
@@ -323,12 +502,17 @@ let bump_var t v =
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  Order_heap.update t.order v
+  heap_update t v
 
-let bump_clause t (c : clause) =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+let bump_clause t cr =
+  let act = t.clause_act in
+  let cid = t.arena.(cr + 1) in
+  act.(cid) <- act.(cid) +. t.cla_inc;
+  if act.(cid) > 1e20 then begin
+    for i = 0 to t.n_learnts - 1 do
+      let c = t.arena.(t.learnts.(i) + 1) in
+      act.(c) <- act.(c) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -336,154 +520,166 @@ let bump_clause t (c : clause) =
    non-root decision levels, counted with a stamped per-level scratch array
    (Audemard & Simon's "glue").  Only meaningful while the literals are
    assigned. *)
-let lits_lbd t lits =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  let n = ref 0 in
-  List.iter
-    (fun l ->
-      let lv = t.level.(Lit.var l) in
-      if lv > 0 && t.level_stamp.(lv) <> stamp then begin
-        t.level_stamp.(lv) <- stamp;
-        incr n
-      end)
-    lits;
-  !n
-
-let clause_lbd t (c : clause) =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = t.level.(Lit.var l) in
-      if lv > 0 && t.level_stamp.(lv) <> stamp then begin
-        t.level_stamp.(lv) <- stamp;
-        incr n
-      end)
-    c.lits;
-  !n
-
-let enqueue t l reason =
-  let v = Lit.var l in
-  t.assign.(v) <- (if Lit.sign l then 1 else 0);
-  t.level.(v) <- decision_level t;
-  t.reason.(v) <- reason;
-  Vec.push t.trail l
-
-let new_decision_level t = Vec.push t.trail_lim (Vec.size t.trail)
-
-let cancel_until t lvl =
-  if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
-      let v = Lit.var l in
-      t.phase.(v) <- Lit.sign l;
-      t.assign.(v) <- -1;
-      t.reason.(v) <- None;
-      t.level.(v) <- -1;
-      Order_heap.insert t.order v
-    done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim lvl;
-    t.qhead <- Vec.size t.trail
+let count_level t stamp n l =
+  let lv = t.level.(var l) in
+  if lv > 0 && t.level_stamp.(lv) <> stamp then begin
+    t.level_stamp.(lv) <- stamp;
+    incr n
   end
 
+let lits_lbd t lits =
+  t.stamp <- t.stamp + 1;
+  let n = ref 0 in
+  List.iter (count_level t t.stamp n) lits;
+  !n
+
+let clause_lbd t cr =
+  t.stamp <- t.stamp + 1;
+  let n = ref 0 in
+  for i = cr + hdr to cr + hdr + clause_size t cr - 1 do
+    count_level t t.stamp n t.arena.(i)
+  done;
+  !n
+
+let[@inline] enqueue t l reason =
+  let v = var l in
+  t.assign.(v) <- 1 - (l land 1);
+  t.level.(v) <- t.n_levels;
+  t.reason.(v) <- reason;
+  t.trail.(t.trail_size) <- l;
+  t.trail_size <- t.trail_size + 1
+
+let new_decision_level t =
+  t.trail_lim <- push_int t.trail_lim t.n_levels t.trail_size;
+  t.n_levels <- t.n_levels + 1
+
+let cancel_until t lvl =
+  if t.n_levels > lvl then begin
+    let bound = t.trail_lim.(lvl) in
+    for i = t.trail_size - 1 downto bound do
+      let l = t.trail.(i) in
+      let v = var l in
+      t.phase.(v) <- positive l;
+      t.assign.(v) <- -1;
+      t.reason.(v) <- -1;
+      t.level.(v) <- -1;
+      heap_insert t v
+    done;
+    t.trail_size <- bound;
+    t.n_levels <- lvl;
+    t.qhead <- bound
+  end
+
+(* The reason clause of [v]'s assignment, with [v]'s literal at position 0
+   as conflict analysis expects.  Only a binary clause can be out of that
+   orientation, since propagation leaves binary clauses untouched. *)
+let reason_of t v =
+  let r = t.reason.(v) in
+  if r >= 0 && clause_size t r = 2 then begin
+    let a = t.arena and c = r + hdr in
+    if var a.(c) <> v then begin
+      let x = a.(c) in
+      a.(c) <- a.(c + 1);
+      a.(c + 1) <- x
+    end
+  end;
+  r
+
 (* Two-watched-literal Boolean constraint propagation with blocking literals
-   and inlined binary-clause handling.  Returns the conflicting clause, if
-   any. *)
+   and binary clauses resolved from their watch entries.  Returns the cref
+   of the conflicting clause, or -1.  Allocates nothing unless a watch list
+   outgrows its array. *)
 let propagate t =
-  let confl = ref None in
-  while !confl = None && t.qhead < Vec.size t.trail do
-    let p = Vec.get t.trail t.qhead in
+  let confl = ref (-1) in
+  let arena = t.arena in
+  while !confl < 0 && t.qhead < t.trail_size do
+    let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
-    let false_lit = Lit.negate p in
+    let false_lit = negate p in
     let ws = t.watches.(false_lit) in
-    let n = Vec.size ws in
-    let j = ref 0 in
-    let i = ref 0 in
-    while !i < n do
-      let w = Vec.unsafe_get ws !i in
-      incr i;
-      let c = w.wcl in
-      if not c.removed then begin
-        if lit_value t w.blocker = 1 then begin
-          (* Blocker satisfies the clause; the clause itself stays cold. *)
-          Vec.unsafe_set ws !j w;
-          incr j
+    let n = ws.(0) in
+    let i = ref 1 in
+    let j = ref 1 in
+    while !i < n && !confl < 0 do
+      let blocker = Array.unsafe_get ws !i in
+      let tagged = Array.unsafe_get ws (!i + 1) in
+      i := !i + 2;
+      if lit_value t blocker = 1 then begin
+        (* Blocker satisfies the clause; the clause itself stays cold. *)
+        Array.unsafe_set ws !j blocker;
+        Array.unsafe_set ws (!j + 1) tagged;
+        j := !j + 2
+      end
+      else if tagged land 1 = 1 then begin
+        (* Binary: the blocker is the other literal, so the watch entry alone
+           decides between unit propagation and conflict. *)
+        Array.unsafe_set ws !j blocker;
+        Array.unsafe_set ws (!j + 1) tagged;
+        j := !j + 2;
+        let cr = tagged lsr 1 in
+        if lit_value t blocker = 0 then begin
+          (* Analysis reads a conflict from position 0: orient it now. *)
+          arena.(cr + hdr) <- blocker;
+          arena.(cr + hdr + 1) <- false_lit;
+          confl := cr;
+          t.qhead <- t.trail_size
         end
-        else if Array.length c.lits = 2 then begin
-          (* Binary: the blocker is the other literal, so the watcher alone
-             decides between unit propagation and conflict. *)
-          Vec.unsafe_set ws !j w;
-          incr j;
-          let other = w.blocker in
-          (* Keep the reason invariant: position 0 holds the implied
-             literal. *)
-          if c.lits.(0) <> other then begin
-            c.lits.(0) <- other;
-            c.lits.(1) <- false_lit
-          end;
-          if lit_value t other = 0 then begin
-            confl := Some c;
-            t.qhead <- Vec.size t.trail;
-            while !i < n do
-              Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-              incr i;
-              incr j
-            done
-          end
-          else enqueue t other (Some c)
-        end
-        else begin
+        else enqueue t blocker cr
+      end
+      else begin
+        let cr = tagged lsr 1 in
+        let h = arena.(cr) in
+        (* A removed clause's entry is dropped when next visited, or by
+           compaction. *)
+        if h land removed_bit = 0 then begin
+          let c = cr + hdr in
           (* Normalise: the falsified watch sits at position 1. *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
+          if arena.(c) = false_lit then begin
+            arena.(c) <- arena.(c + 1);
+            arena.(c + 1) <- false_lit
           end;
-          let first = c.lits.(0) in
-          if first <> w.blocker && lit_value t first = 1 then begin
+          let first = arena.(c) in
+          if first <> blocker && lit_value t first = 1 then begin
             (* Clause already satisfied; refresh the blocker in place. *)
-            w.blocker <- first;
-            Vec.unsafe_set ws !j w;
-            incr j
+            Array.unsafe_set ws !j first;
+            Array.unsafe_set ws (!j + 1) tagged;
+            j := !j + 2
           end
           else begin
             (* Look for a replacement watch. *)
-            let len = Array.length c.lits in
-            let k = ref 2 in
-            while !k < len && lit_value t c.lits.(!k) = 0 do
+            let stop = c + (h lsr 2) in
+            let k = ref (c + 2) in
+            while !k < stop && lit_value t arena.(!k) = 0 do
               incr k
             done;
-            if !k < len then begin
-              c.lits.(1) <- c.lits.(!k);
-              c.lits.(!k) <- false_lit;
-              Vec.push t.watches.(c.lits.(1)) { blocker = first; wcl = c }
+            if !k < stop then begin
+              let l = arena.(!k) in
+              arena.(c + 1) <- l;
+              arena.(!k) <- false_lit;
+              watch t l first tagged
             end
             else begin
               (* Unit or conflicting. *)
-              w.blocker <- first;
-              Vec.unsafe_set ws !j w;
-              incr j;
+              Array.unsafe_set ws !j first;
+              Array.unsafe_set ws (!j + 1) tagged;
+              j := !j + 2;
               if lit_value t first = 0 then begin
-                confl := Some c;
-                t.qhead <- Vec.size t.trail;
-                (* Keep the remaining watches. *)
-                while !i < n do
-                  Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-                  incr i;
-                  incr j
-                done
+                confl := cr;
+                t.qhead <- t.trail_size
               end
-              else enqueue t first (Some c)
+              else enqueue t first cr
             end
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    (* After a conflict, keep the entries not yet visited. *)
+    if !i <= n then begin
+      Array.blit ws !i ws !j (n + 1 - !i);
+      j := !j + n + 1 - !i
+    end;
+    ws.(0) <- !j - 1
   done;
   !confl
 
@@ -522,13 +718,16 @@ let collect_refutation t seeds =
         let v = -s - 1 in
         if not (Hashtbl.mem visited_var v) then begin
           Hashtbl.add visited_var v ();
-          match t.reason.(v) with
-          | Some c ->
-            push c.cid;
-            Array.iter (fun l -> if Lit.var l <> v then push (var_marker (Lit.var l))) c.lits
-          | None ->
-            if t.level.(v) > 0 then
-              failed := Lit.of_var v (t.assign.(v) = 1) :: !failed
+          let r = t.reason.(v) in
+          if r >= 0 then begin
+            push t.arena.(r + 1);
+            for i = r + hdr to r + hdr + clause_size t r - 1 do
+              let w = var t.arena.(i) in
+              if w <> v then push (var_marker w)
+            done
+          end
+          else if t.level.(v) > 0 then
+            failed := Lit.of_var v (t.assign.(v) = 1) :: !failed
         end
       end
   done;
@@ -550,66 +749,60 @@ let collect_refutation t seeds =
    the extracted core larger, never wrong. *)
 let abstract_level t v = 1 lsl (t.level.(v) land 31)
 
-let commit_removable_premises t premises v =
-  match t.reason.(v) with
-  | None -> ()
-  | Some r ->
-    premises := r.cid :: !premises;
-    Array.iter
-      (fun l ->
-        let w = Lit.var l in
-        if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises)
-      r.lits
+(* The reason [r] of [v] joins the premises, with markers for its root-level
+   literals. *)
+let add_reason_premises t premises v r =
+  premises := t.arena.(r + 1) :: !premises;
+  for i = r + hdr to r + hdr + clause_size t r - 1 do
+    let w = var t.arena.(i) in
+    if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises
+  done
 
 (* On BMC unrollings reason chains run thousands of assignments deep, so an
    unbounded walk can dwarf the savings; past the budget the literal is
    conservatively kept. *)
 let redundancy_budget = 512
 
+(* A failed derivation: every literal on the DFS path is marked failed. *)
+let fail_path t to_clear path =
+  List.iter
+    (fun (_, pl) ->
+      let w = var pl in
+      if t.seen.(w) = 0 then begin
+        t.seen.(w) <- 3;
+        to_clear := w :: !to_clear
+      end)
+    path
+
 let lit_redundant t abstract_levels premises to_clear q =
-  match t.reason.(Lit.var q) with
-  | None -> false
-  | Some c0 ->
+  if t.reason.(var q) < 0 then false
+  else begin
     let stack = ref [] in (* (resume index, literal) continuations *)
     let p = ref q in
-    let c = ref c0 in
+    let c = ref (reason_of t (var q)) in
     let i = ref 1 in
     let ok = ref true in
     let running = ref true in
     let budget = ref redundancy_budget in
     while !running do
-      if !i < Array.length !c.lits then begin
-        let l = !c.lits.(!i) in
+      if !i < clause_size t !c then begin
+        let l = t.arena.(!c + hdr + !i) in
         incr i;
-        let v = Lit.var l in
+        let v = var l in
         decr budget;
         if !budget < 0 then begin
           (* Out of budget: give up on the whole derivation. *)
-          List.iter
-            (fun (_, pl) ->
-              let w = Lit.var pl in
-              if t.seen.(w) = 0 then begin
-                t.seen.(w) <- 3;
-                to_clear := w :: !to_clear
-              end)
-            ((0, !p) :: !stack);
+          fail_path t to_clear ((0, !p) :: !stack);
           ok := false;
           running := false
         end
         else if t.level.(v) = 0 || t.seen.(v) = 1 || t.seen.(v) = 2 then ()
         else if
-          t.reason.(v) = None || t.seen.(v) = 3
+          t.reason.(v) < 0 || t.seen.(v) = 3
           || abstract_level t v land abstract_levels = 0
         then begin
           (* Dead end: everything on the DFS path fails with it. *)
-          List.iter
-            (fun (_, pl) ->
-              let w = Lit.var pl in
-              if t.seen.(w) = 0 then begin
-                t.seen.(w) <- 3;
-                to_clear := w :: !to_clear
-              end)
-            ((0, !p) :: !stack);
+          fail_path t to_clear ((0, !p) :: !stack);
           if t.seen.(v) = 0 then begin
             t.seen.(v) <- 3;
             to_clear := v :: !to_clear
@@ -621,28 +814,29 @@ let lit_redundant t abstract_levels premises to_clear q =
           (* Descend into [l]'s reason. *)
           stack := (!i, !p) :: !stack;
           p := l;
-          c := (match t.reason.(v) with Some r -> r | None -> assert false);
+          c := reason_of t v;
           i := 1
         end
       end
       else begin
         (* All parents of [p] proved redundant. *)
-        let v = Lit.var !p in
+        let v = var !p in
         if t.seen.(v) = 0 then begin
           t.seen.(v) <- 2;
           to_clear := v :: !to_clear;
-          commit_removable_premises t premises v
+          add_reason_premises t premises v t.reason.(v)
         end;
         match !stack with
         | [] -> running := false
         | (si, sp) :: rest ->
           stack := rest;
           p := sp;
-          c := (match t.reason.(Lit.var sp) with Some r -> r | None -> assert false);
+          c := t.reason.(var sp);
           i := si
       end
     done;
     !ok
+  end
 
 (* First-UIP conflict analysis.  Returns the learnt clause (asserting literal
    first), its LBD, the backjump level, and the premises resolved on the
@@ -654,25 +848,27 @@ let analyze t confl =
   let path_c = ref 0 in
   let p = ref (-1) in
   let c = ref confl in
-  let index = ref (Vec.size t.trail - 1) in
-  let conflict_level = decision_level t in
+  let index = ref (t.trail_size - 1) in
+  let conflict_level = t.n_levels in
   let continue = ref true in
   while !continue do
-    premises := !c.cid :: !premises;
-    if !c.learnt then begin
-      bump_clause t !c;
+    let cr = !c in
+    let h = t.arena.(cr) in
+    premises := t.arena.(cr + 1) :: !premises;
+    if h land learnt_bit <> 0 then begin
+      bump_clause t cr;
       (* Glucose-style dynamic LBD update: clauses that turn out to have a
          lower glue than when they were learnt are promoted. *)
-      if !c.lbd > 2 then begin
-        let d = clause_lbd t !c in
-        if d < !c.lbd then !c.lbd <- d
+      let lbd = t.arena.(cr + 2) in
+      if lbd > 2 then begin
+        let d = clause_lbd t cr in
+        if d < lbd then t.arena.(cr + 2) <- d
       end
     end;
-    let lits = !c.lits in
     let start = if !p = -1 then 0 else 1 in
-    for idx = start to Array.length lits - 1 do
-      let q = lits.(idx) in
-      let v = Lit.var q in
+    for idx = cr + hdr + start to cr + hdr + (h lsr 2) - 1 do
+      let q = t.arena.(idx) in
+      let v = var q in
       if t.seen.(v) = 0 then begin
         if t.level.(v) > 0 then begin
           t.seen.(v) <- 1;
@@ -688,61 +884,52 @@ let analyze t confl =
       end
     done;
     (* Select the next literal to resolve on. *)
-    while t.seen.(Lit.var (Vec.get t.trail !index)) = 0 do
+    while t.seen.(var t.trail.(!index)) = 0 do
       decr index
     done;
-    p := Vec.get t.trail !index;
+    p := t.trail.(!index);
     decr index;
-    t.seen.(Lit.var !p) <- 0;
+    t.seen.(var !p) <- 0;
     decr path_c;
     if !path_c <= 0 then continue := false
-    else
-      match t.reason.(Lit.var !p) with
-      | Some r -> c := r
-      | None -> continue := false (* decision reached; cannot precede the UIP *)
+    else begin
+      let r = reason_of t (var !p) in
+      if r >= 0 then c := r
+      else continue := false (* decision reached; cannot precede the UIP *)
+    end
   done;
   (* Conflict-clause minimisation: drop every non-asserting literal whose
      reason chain is fully covered by the remaining clause (recursively, not
      just one level deep).  Each dropped literal's reason joins the
      premises. *)
   let abstract_levels =
-    List.fold_left (fun m q -> m lor abstract_level t (Lit.var q)) 0 !learnt_tail
+    List.fold_left (fun m q -> m lor abstract_level t (var q)) 0 !learnt_tail
   in
   let minimised =
     List.filter
       (fun q ->
-        let v = Lit.var q in
-        match t.reason.(v) with
-        | None -> true
-        | Some r ->
-          if lit_redundant t abstract_levels premises to_clear q then begin
-            premises := r.cid :: !premises;
-            Array.iter
-              (fun l ->
-                let w = Lit.var l in
-                if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises)
-              r.lits;
-            t.minimised_lits <- t.minimised_lits + 1;
-            false
-          end
-          else true)
+        let v = var q in
+        let r = t.reason.(v) in
+        if r < 0 then true
+        else if lit_redundant t abstract_levels premises to_clear q then begin
+          add_reason_premises t premises v r;
+          t.minimised_lits <- t.minimised_lits + 1;
+          false
+        end
+        else true)
       !learnt_tail
   in
-  let learnt = Lit.negate !p :: minimised in
+  let learnt = negate !p :: minimised in
   (* LBD must be computed before backjumping unassigns the asserting
      literal. *)
   let lbd = lits_lbd t learnt in
   List.iter (fun v -> t.seen.(v) <- 0) !to_clear;
   let bj =
     List.fold_left
-      (fun acc q -> if q = Lit.negate !p then acc else max acc t.level.(Lit.var q))
+      (fun acc q -> if q = negate !p then acc else max acc t.level.(var q))
       0 learnt
   in
   (learnt, lbd, bj, Array.of_list !premises)
-
-let attach_clause t c =
-  Vec.push t.watches.(c.lits.(0)) { blocker = c.lits.(1); wcl = c };
-  Vec.push t.watches.(c.lits.(1)) { blocker = c.lits.(0); wcl = c }
 
 let record_refutation t seeds =
   let core, failed = collect_refutation t seeds in
@@ -753,8 +940,39 @@ let mark_root_unsat t seeds =
   record_refutation t seeds;
   t.ok <- false
 
-let conflict_seeds confl =
-  confl.cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] confl.lits
+let clause_seeds t cr =
+  let seeds = ref [ t.arena.(cr + 1) ] in
+  for i = cr + hdr to cr + hdr + clause_size t cr - 1 do
+    seeds := var_marker (var t.arena.(i)) :: !seeds
+  done;
+  !seeds
+
+(* Move up to two non-false literals of a freshly stored clause into the
+   watch positions, then attach it, or assert it when it is unit at root,
+   or record the root refutation when every literal is false.  The
+   root-falsified literals stay in the clause so refutations remain
+   faithful. *)
+let install_clause t cr =
+  let a = t.arena and c = cr + hdr in
+  let n = clause_size t cr in
+  let free = ref 0 in
+  let i = ref 0 in
+  while !free < 2 && !i < n do
+    if lit_value t a.(c + !i) <> 0 then begin
+      let tmp = a.(c + !free) in
+      a.(c + !free) <- a.(c + !i);
+      a.(c + !i) <- tmp;
+      incr free
+    end;
+    incr i
+  done;
+  if !free = 0 then mark_root_unsat t (clause_seeds t cr)
+  else if !free = 1 then begin
+    enqueue t a.(c) cr;
+    let confl = propagate t in
+    if confl >= 0 then mark_root_unsat t (clause_seeds t confl)
+  end
+  else attach_clause t cr
 
 let add_clause ?(tag = -1) t lits =
   (* The listener sees the raw clause stream, pre-simplification and even
@@ -762,59 +980,31 @@ let add_clause ?(tag = -1) t lits =
      exact same stream to keep variable numbering and clause ids aligned. *)
   (match t.clause_listener with Some f -> f tag lits | None -> ());
   if t.ok then begin
-    if decision_level t <> 0 then invalid_arg "Solver.add_clause: not at root level";
+    if t.n_levels <> 0 then invalid_arg "Solver.add_clause: not at root level";
     (* Deduplicate and drop tautologies / root-satisfied clauses. *)
     let lits = List.sort_uniq compare lits in
     let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
+      List.exists (fun l -> List.mem (negate l) lits) lits
       || List.exists (fun l -> lit_value t l = 1) lits
     in
     if not tautology then begin
       List.iter (fun l ->
-          if Lit.var l >= t.nvars then
+          if var l >= t.nvars then
             invalid_arg "Solver.add_clause: undeclared variable")
         lits;
       let cid = t.next_cid in
       t.next_cid <- cid + 1;
       Hashtbl.replace t.cid_info cid (Original tag);
-      let arr = Array.of_list lits in
-      let c =
-        { cid; lits = arr; learnt = false; activity = 0.0; lbd = 0; removed = false }
-      in
-      Vec.push t.clauses c;
-      let n = Array.length arr in
-      (* Move up to two non-false literals into the watch positions; the
-         root-falsified literals stay in the clause so refutations remain
-         faithful. *)
-      let free = ref 0 in
-      let i = ref 0 in
-      while !free < 2 && !i < n do
-        if lit_value t arr.(!i) <> 0 then begin
-          let tmp = arr.(!free) in
-          arr.(!free) <- arr.(!i);
-          arr.(!i) <- tmp;
-          incr free
-        end;
-        incr i
-      done;
-      if !free = 0 then
-        (* All literals false at root: unsatisfiable formula. *)
-        mark_root_unsat t
-          (cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] arr)
-      else if !free = 1 then begin
-        (* Unit at root level. *)
-        enqueue t arr.(0) (Some c);
-        match propagate t with
-        | None -> ()
-        | Some confl -> mark_root_unsat t (conflict_seeds confl)
-      end
-      else attach_clause t c
+      let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 lits in
+      t.clauses <- push_int t.clauses t.n_clauses cr;
+      t.n_clauses <- t.n_clauses + 1;
+      install_clause t cr
     end
   end
 
-(* Approximate per-clause footprint (header + fields) in words, used by the
-   learnt-DB memory budget. *)
-let clause_overhead = 8
+let push_learnt t cr =
+  t.learnts <- push_int t.learnts t.n_learnts cr;
+  t.n_learnts <- t.n_learnts + 1
 
 let learn_clause t lits lbd premises =
   if t.proof_logging then t.proof_steps <- Padd lits :: t.proof_steps;
@@ -824,27 +1014,27 @@ let learn_clause t lits lbd premises =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   Hashtbl.replace t.cid_info cid (Learnt_from premises);
-  let arr = Array.of_list lits in
-  t.learnt_words <- t.learnt_words + Array.length arr + clause_overhead;
-  let c = { cid; lits = arr; learnt = true; activity = 0.0; lbd; removed = false } in
+  let cr = alloc_clause t ~learnt:true ~cid ~lbd lits in
+  let n = clause_size t cr in
+  t.learnt_words <- t.learnt_words + clause_words n;
   t.learnt_total <- t.learnt_total + 1;
   t.lbd_sum <- t.lbd_sum + lbd;
-  if Array.length arr > 1 then begin
+  push_learnt t cr;
+  if n > 1 then begin
     (* Position 1 must hold the highest-level non-asserting literal so the
        watch invariant survives the backjump. *)
+    let a = t.arena and c = cr + hdr in
     let best = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if t.level.(Lit.var arr.(i)) > t.level.(Lit.var arr.(!best)) then best := i
+    for i = 2 to n - 1 do
+      if t.level.(var a.(c + i)) > t.level.(var a.(c + !best)) then best := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    Vec.push t.learnts c;
-    attach_clause t c
-  end
-  else Vec.push t.learnts c;
-  bump_clause t c;
-  c
+    let tmp = a.(c + 1) in
+    a.(c + 1) <- a.(c + !best);
+    a.(c + !best) <- tmp;
+    attach_clause t cr
+  end;
+  bump_clause t cr;
+  cr
 
 (* Install a clause learnt by a peer solver over the same variable
    numbering.  Root-level only.  The clause enters the learnt database with
@@ -853,46 +1043,22 @@ let learn_clause t lits lbd premises =
    Returns [false] when the clause is dropped (unknown variable, tautology,
    or already satisfied at root). *)
 let import_clause t lits =
-  if decision_level t <> 0 then invalid_arg "Solver.import_clause: not at root level";
+  if t.n_levels <> 0 then invalid_arg "Solver.import_clause: not at root level";
   let lits = List.sort_uniq compare lits in
   if
     lits = []
-    || List.exists (fun l -> Lit.var l >= t.nvars) lits
-    || List.exists (fun l -> List.mem (Lit.negate l) lits) lits
+    || List.exists (fun l -> var l >= t.nvars) lits
+    || List.exists (fun l -> List.mem (negate l) lits) lits
     || List.exists (fun l -> lit_value t l = 1) lits
   then false
   else begin
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
     Hashtbl.replace t.cid_info cid Imported;
-    let arr = Array.of_list lits in
-    t.learnt_words <- t.learnt_words + Array.length arr + clause_overhead;
-    let c = { cid; lits = arr; learnt = true; activity = 0.0; lbd = 2; removed = false } in
-    (* Same watch discipline as [add_clause]: move up to two non-false
-       literals into the watch positions. *)
-    let n = Array.length arr in
-    let free = ref 0 in
-    let i = ref 0 in
-    while !free < 2 && !i < n do
-      if lit_value t arr.(!i) <> 0 then begin
-        let tmp = arr.(!free) in
-        arr.(!free) <- arr.(!i);
-        arr.(!i) <- tmp;
-        incr free
-      end;
-      incr i
-    done;
-    Vec.push t.learnts c;
-    if !free = 0 then
-      mark_root_unsat t
-        (cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] arr)
-    else if !free = 1 then begin
-      enqueue t arr.(0) (Some c);
-      match propagate t with
-      | None -> ()
-      | Some confl -> mark_root_unsat t (conflict_seeds confl)
-    end
-    else attach_clause t c;
+    let cr = alloc_clause t ~learnt:true ~cid ~lbd:2 lits in
+    t.learnt_words <- t.learnt_words + clause_words (clause_size t cr);
+    push_learnt t cr;
+    install_clause t cr;
     true
   end
 
@@ -917,40 +1083,98 @@ let pull_imports t =
   | None -> ()
   | Some f -> ignore (import_clauses t (f ()))
 
-let locked t c =
-  Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  (match t.reason.(v) with Some r -> r == c | None -> false)
+let locked t cr = t.reason.(var t.arena.(cr + hdr)) = cr
+
+(* Copy the live clauses to a fresh arena, in their current order, and
+   relocate every cref: reasons, watch entries (dropping those of removed
+   clauses), the original-clause list and the learnt list.  The old header's
+   cid slot holds the forwarding address while relocating. *)
+let compact t =
+  let old = t.arena in
+  let live = t.arena_top - t.garbage in
+  let fresh = Array.make (max 1024 (live + (live / 2))) 0 in
+  let top = ref 0 in
+  let cr = ref 0 in
+  while !cr < t.arena_top do
+    let h = old.(!cr) in
+    let words = hdr + (h lsr 2) in
+    if h land removed_bit = 0 then begin
+      Array.blit old !cr fresh !top words;
+      old.(!cr + 1) <- !top;
+      top := !top + words
+    end;
+    cr := !cr + words
+  done;
+  let fwd r = old.(r + 1) in
+  for i = 0 to t.trail_size - 1 do
+    let v = var t.trail.(i) in
+    if t.reason.(v) >= 0 then t.reason.(v) <- fwd t.reason.(v)
+  done;
+  for i = 0 to t.n_clauses - 1 do
+    t.clauses.(i) <- fwd t.clauses.(i)
+  done;
+  for i = 0 to t.n_learnts - 1 do
+    t.learnts.(i) <- fwd t.learnts.(i)
+  done;
+  for l = 0 to (2 * t.nvars) - 1 do
+    let ws = t.watches.(l) in
+    let n = ws.(0) in
+    let j = ref 1 in
+    let i = ref 1 in
+    while !i < n do
+      let tagged = ws.(!i + 1) in
+      let r = tagged lsr 1 in
+      if old.(r) land removed_bit = 0 then begin
+        ws.(!j) <- ws.(!i);
+        ws.(!j + 1) <- (fwd r lsl 1) lor (tagged land 1);
+        j := !j + 2
+      end;
+      i := !i + 2
+    done;
+    ws.(0) <- !j - 1
+  done;
+  t.arena <- fresh;
+  t.arena_top <- !top;
+  t.garbage <- 0
 
 (* Learnt-clause database reduction, LBD-first (Glucose): the half of the
    database with the worst (highest) glue goes, ties broken by activity.
    Glue clauses (LBD <= 2), binary clauses and clauses currently locked as
-   reasons are protected regardless of their rank. *)
+   reasons are protected regardless of their rank.  Candidates enter the
+   (unstable) sort newest first, which fixes how equal keys are ordered. *)
 let reduce_db t =
   t.db_reductions <- t.db_reductions + 1;
-  let learnts = Vec.fold (fun acc c -> if c.removed then acc else c :: acc) [] t.learnts in
-  let arr = Array.of_list learnts in
+  let a = t.arena and act = t.clause_act in
+  let n = t.n_learnts in
+  let ranked = Array.init n (fun i -> t.learnts.(n - 1 - i)) in
   Array.sort
-    (fun (a : clause) (b : clause) ->
-      if a.lbd <> b.lbd then compare b.lbd a.lbd else compare a.activity b.activity)
-    arr;
-  let n = Array.length arr in
+    (fun x y ->
+      let lx = a.(x + 2) and ly = a.(y + 2) in
+      if lx <> ly then compare ly lx else compare act.(a.(x + 1)) act.(a.(y + 1)))
+    ranked;
   let deleted = ref 0 in
   Array.iteri
-    (fun i c ->
-      if
-        i < n / 2 && Array.length c.lits > 2 && c.lbd > 2 && not (locked t c)
-      then begin
-        c.removed <- true;
-        if t.proof_logging then
-          t.proof_steps <- Pdel (Array.to_list c.lits) :: t.proof_steps;
-        t.learnt_words <- t.learnt_words - (Array.length c.lits + clause_overhead);
+    (fun i cr ->
+      let size = a.(cr) lsr 2 in
+      if i < n / 2 && size > 2 && a.(cr + 2) > 2 && not (locked t cr) then begin
+        a.(cr) <- a.(cr) lor removed_bit;
+        if t.proof_logging then t.proof_steps <- Pdel (clause_lits t cr) :: t.proof_steps;
+        t.learnt_words <- t.learnt_words - clause_words size;
+        t.garbage <- t.garbage + hdr + size;
         incr deleted
       end)
-    arr;
+    ranked;
   t.deleted_total <- t.deleted_total + !deleted;
-  Vec.filter_in_place (fun (c : clause) -> not c.removed) t.learnts;
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let cr = t.learnts.(i) in
+    if a.(cr) land removed_bit = 0 then begin
+      t.learnts.(!j) <- cr;
+      incr j
+    end
+  done;
+  t.n_learnts <- !j;
+  if float_of_int t.garbage > garbage_fraction *. float_of_int t.arena_top then compact t;
   (* If protection kept most of the database, allow it to grow so reduction
      does not retrigger on every conflict. *)
   t.max_learnts <- t.max_learnts *. 1.1
@@ -968,14 +1192,11 @@ let luby y x =
   let size, seq = find_size 1 0 in
   y ** float_of_int (reduce size seq x)
 
-let pick_branch_var t =
-  let rec loop () =
-    if Order_heap.is_empty t.order then -1
-    else
-      let v = Order_heap.remove_max t.order in
-      if t.assign.(v) < 0 then v else loop ()
-  in
-  loop ()
+let rec pick_branch_var t =
+  if t.heap_size = 0 then -1
+  else
+    let v = heap_remove_max t in
+    if t.assign.(v) < 0 then v else pick_branch_var t
 
 exception Found of result
 exception Restart
@@ -996,7 +1217,7 @@ let sample_counters t =
   Obs.counter_set "solver.decisions" (float_of_int t.decisions);
   Obs.counter_set "solver.propagations" (float_of_int t.propagations);
   Obs.counter_set "solver.restarts" (float_of_int t.restarts);
-  Obs.counter_set "solver.learnts" (float_of_int (Vec.size t.learnts))
+  Obs.counter_set "solver.learnts" (float_of_int t.n_learnts)
 
 (* One restart-bounded search episode; raises [Found] on a definitive
    answer, [Restart] when the conflict budget runs out. *)
@@ -1004,13 +1225,13 @@ let search t conflict_budget =
   let conflicts = ref 0 in
   let n_assumptions = Array.length t.assumptions in
   while true do
-    match propagate t with
-    | Some confl ->
+    let confl = propagate t in
+    if confl >= 0 then begin
       t.conflicts <- t.conflicts + 1;
       incr conflicts;
       if t.conflicts land 1023 = 0 && Obs.enabled () then sample_counters t;
       (match t.deadline with
-      | Some d when t.conflicts land 255 = 0 && Unix.gettimeofday () > d ->
+      | Some d when t.conflicts land 255 = 0 && Obs.now () > d ->
         cancel_until t 0;
         raise Timeout
       | Some _ | None -> ());
@@ -1031,27 +1252,28 @@ let search t conflict_budget =
         cancel_until t 0;
         raise (Budget_exceeded "learnt-db memory")
       | Some _ | None -> ());
-      if decision_level t = 0 then begin
-        mark_root_unsat t (conflict_seeds confl);
+      if t.n_levels = 0 then begin
+        mark_root_unsat t (clause_seeds t confl);
         raise (Found Unsat)
       end
-      else if decision_level t <= n_assumptions then begin
+      else if t.n_levels <= n_assumptions then begin
         (* The conflict is forced by the assumptions alone. *)
-        record_refutation t (conflict_seeds confl);
+        record_refutation t (clause_seeds t confl);
         raise (Found Unsat)
       end
       else begin
         let learnt, lbd, bj, premises = analyze t confl in
         cancel_until t (max bj 0);
-        let c = learn_clause t learnt lbd premises in
+        let cr = learn_clause t learnt lbd premises in
         (match learnt with
-        | asserting :: _ -> enqueue t asserting (Some c)
+        | asserting :: _ -> enqueue t asserting cr
         | [] -> ());
         t.var_inc <- t.var_inc *. t.var_decay_inv;
         t.cla_inc <- t.cla_inc *. cla_decay;
-        if float_of_int (Vec.size t.learnts) >= t.max_learnts then reduce_db t
+        if float_of_int t.n_learnts >= t.max_learnts then reduce_db t
       end
-    | None ->
+    end
+    else begin
       (match t.stop with
       | Some flag when Atomic.get flag ->
         cancel_until t 0;
@@ -1061,20 +1283,20 @@ let search t conflict_budget =
         cancel_until t 0;
         raise Restart
       end;
-      if decision_level t < n_assumptions then begin
+      if t.n_levels < n_assumptions then begin
         (* Enqueue the next assumption. *)
-        let p = t.assumptions.(decision_level t) in
+        let p = t.assumptions.(t.n_levels) in
         match lit_value t p with
         | 1 -> new_decision_level t (* already satisfied: placeholder level *)
         | 0 ->
           (* Assumption contradicted by the implied assignment. *)
-          let core, failed = collect_refutation t [ var_marker (Lit.var p) ] in
+          let core, failed = collect_refutation t [ var_marker (var p) ] in
           t.last_core <- core;
           t.last_failed <- List.sort_uniq compare (p :: failed);
           raise (Found Unsat)
         | _ ->
           new_decision_level t;
-          enqueue t p None
+          enqueue t p (-1)
       end
       else begin
         let v = pick_branch_var t in
@@ -1087,9 +1309,10 @@ let search t conflict_budget =
               not t.phase.(v)
             else t.phase.(v)
           in
-          enqueue t (Lit.of_var v ph) None
+          enqueue t ((2 * v) + if ph then 0 else 1) (-1)
         end
       end
+    end
   done
 
 let solve ?(assumptions = []) t =
@@ -1098,10 +1321,10 @@ let solve ?(assumptions = []) t =
     Unsat
   end
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     Fun.protect
       ~finally:(fun () ->
-        t.solve_time <- t.solve_time +. Unix.gettimeofday () -. t0;
+        t.solve_time <- t.solve_time +. Obs.now () -. t0;
         if Obs.enabled () then sample_counters t)
       (fun () ->
         cancel_until t 0;
@@ -1120,10 +1343,10 @@ let solve ?(assumptions = []) t =
           t.assumptions <- Array.of_list assumptions;
           Array.iter
             (fun l ->
-              if Lit.var l >= t.nvars then
+              if var l >= t.nvars then
                 invalid_arg "Solver.solve: undeclared assumption")
             t.assumptions;
-          t.max_learnts <- max 1000.0 (float_of_int (Vec.size t.clauses) /. 3.0);
+          t.max_learnts <- max 1000.0 (float_of_int t.n_clauses /. 3.0);
           let restarts = ref 0 in
           let answer = ref None in
           while !answer = None do
@@ -1149,15 +1372,12 @@ let solve ?(assumptions = []) t =
         end)
   end
 
-let export_clauses t =
-  let acc = ref [] in
-  Vec.iter (fun (c : clause) -> acc := Array.to_list c.lits :: !acc) t.clauses;
-  List.rev !acc
+let export_clauses t = List.init t.n_clauses (fun i -> clause_lits t t.clauses.(i))
 
 let value_var t v = v < Array.length t.model && t.model.(v) = 1
 
 let value t l =
-  if Lit.sign l then value_var t (Lit.var l) else not (value_var t (Lit.var l))
+  if positive l then value_var t (var l) else not (value_var t (var l))
 
 let unsat_core t = t.last_core
 
@@ -1179,6 +1399,6 @@ let pp_stats ppf t =
   Format.fprintf ppf
     "vars=%d clauses=%d learnts=%d conflicts=%d decisions=%d props=%d restarts=%d \
      deleted=%d minimised=%d avg-lbd=%.2f shared-out=%d shared-in=%d"
-    t.nvars (Vec.size t.clauses) (Vec.size t.learnts) s.conflicts s.decisions
+    t.nvars t.n_clauses t.n_learnts s.conflicts s.decisions
     s.propagations s.restarts s.deleted_clauses s.minimised_lits s.avg_lbd
     s.shared_out s.shared_in

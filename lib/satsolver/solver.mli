@@ -1,15 +1,28 @@
 (** Incremental CDCL SAT solver with UNSAT-core extraction.
 
     The solver implements the standard conflict-driven clause-learning loop
-    (two-watched-literal propagation with blocking literals and inlined
-    binary-clause handling, first-UIP learning with recursive conflict-clause
-    minimisation, VSIDS decision ordering with phase saving, Luby restarts,
-    LBD-aware learnt-clause deletion with glue-clause protection) together
-    with resolution-trace bookkeeping: every learnt clause records the
-    clauses it was resolved from, so that after an UNSAT answer the set of
-    {e original} clauses participating in the refutation can be
-    reconstructed.  This is the [SAT_Get_Refutation] primitive of the paper
-    (Fig. 1 line 10), which proof-based abstraction consumes.
+    (two-watched-literal propagation with blocking literals, first-UIP
+    learning with recursive conflict-clause minimisation, VSIDS decision
+    ordering with phase saving, Luby restarts, LBD-aware learnt-clause
+    deletion with glue-clause protection) together with resolution-trace
+    bookkeeping: every learnt clause records the clauses it was resolved
+    from, so that after an UNSAT answer the set of {e original} clauses
+    participating in the refutation can be reconstructed.  This is the
+    [SAT_Get_Refutation] primitive of the paper (Fig. 1 line 10), which
+    proof-based abstraction consumes.
+
+    The data layout is flat, so that propagation allocates nothing: all
+    clauses live in one growable [int array] (the arena: a three-word header
+    of size and learnt/removed flags, clause id and LBD, then the literals),
+    learnt-clause activity in a [float array] indexed by clause id, reasons
+    are arena offsets, and each literal's watch list is an [int array] of
+    (blocker, clause offset) pairs.  A watch entry whose blocker is true is
+    passed over without loading the clause, and a binary clause is resolved
+    from its watch entry alone.  The VSIDS heap compares scores read straight
+    from a [float array].  Once database reduction has left enough deleted
+    clauses behind, the arena is compacted, with every reference relocated in
+    its current order; none of this changes which clauses are learnt, kept or
+    deleted.
 
     Clauses may carry an integer [tag]; {!unsat_core_tags} reports the
     distinct tags present in the refutation.  The BMC layers tag clauses with
@@ -52,8 +65,9 @@ exception Budget_exceeded of string
     solver stays usable afterwards. *)
 
 val set_deadline : t -> float option -> unit
-(** Wall-clock deadline (as given by [Unix.gettimeofday]) checked
-    periodically during search; [None] disables it. *)
+(** Deadline on the {!Obs.now} clock (the ambient recorder's clock, else the
+    wall clock), checked every 256 conflicts during search; [None] disables
+    it. *)
 
 val set_conflict_budget : t -> int option -> unit
 (** Maximum conflicts a single {!solve} call may spend before
@@ -61,9 +75,10 @@ val set_conflict_budget : t -> int option -> unit
     budget is per-call: each [solve] starts a fresh count. *)
 
 val set_learnt_budget_mb : t -> float option -> unit
-(** Approximate ceiling, in megabytes, on the memory held by live learnt
-    clauses; checked periodically during search, raising {!Budget_exceeded}
-    when exceeded.  [None] (the default) disables it. *)
+(** Ceiling, in megabytes, on the memory held by live learnt clauses, each
+    counted as its arena words (header and literals) plus its two watch
+    pairs; checked every 256 conflicts during search, raising
+    {!Budget_exceeded} when exceeded.  [None] (the default) disables it. *)
 
 val solve : ?assumptions:Lit.t list -> t -> result
 (** Solve the current formula under the given assumption literals.  The
@@ -223,7 +238,8 @@ type stats = {
   minimised_lits : int;
       (** literals removed by recursive conflict-clause minimisation *)
   avg_lbd : float;  (** mean LBD (glue) over all learnt clauses *)
-  solve_time_s : float;  (** cumulative wall time spent inside {!solve} *)
+  solve_time_s : float;
+      (** cumulative time spent inside {!solve}, on the {!Obs.now} clock *)
   shared_out : int;  (** learnt clauses accepted by the share callback *)
   shared_in : int;  (** peer clauses admitted by {!import_clauses} *)
 }

@@ -34,6 +34,16 @@ let solve_clauses ?(num_vars = 0) clauses =
   List.iter (Solver.add_clause s) clauses;
   (s, Solver.solve s)
 
+(* A solver loaded with [clauses] (over their variables), not yet solved. *)
+let solver_of clauses =
+  let s = Solver.create () in
+  Solver.ensure_vars s
+    (List.fold_left
+       (fun acc c -> List.fold_left (fun acc l -> max acc (Lit.var l + 1)) acc c)
+       0 clauses);
+  List.iter (Solver.add_clause s) clauses;
+  s
+
 let check_model s clauses =
   List.iter
     (fun c ->
@@ -324,6 +334,18 @@ let rec dpll clauses =
         let l = List.hd (List.hd clauses) in
         branch l || branch (Lit.negate l))
 
+(* Random 3-SAT clauses drawn from [st]. *)
+let random_3sat st ~num_vars ~num_clauses =
+  List.init num_clauses (fun _ ->
+      (* three distinct variables per clause *)
+      let rec pick acc =
+        if List.length acc = 3 then acc
+        else
+          let v = Random.State.int st num_vars in
+          if List.mem v acc then pick acc else pick (v :: acc)
+      in
+      List.map (fun v -> lit v (Random.State.bool st)) (pick []))
+
 let test_random_3sat_vs_dpll () =
   (* Seeded random 3-SAT around the phase-transition ratio, up to 20 vars:
      the CDCL answer must match the DPLL oracle on every instance. *)
@@ -331,17 +353,7 @@ let test_random_3sat_vs_dpll () =
     let st = Random.State.make [| 0xacc1; seed |] in
     let num_vars = 5 + Random.State.int st 16 in
     let num_clauses = int_of_float (4.2 *. float_of_int num_vars) in
-    let clauses =
-      List.init num_clauses (fun _ ->
-          (* three distinct variables per clause *)
-          let rec pick acc =
-            if List.length acc = 3 then acc
-            else
-              let v = Random.State.int st num_vars in
-              if List.mem v acc then pick acc else pick (v :: acc)
-          in
-          List.map (fun v -> lit v (Random.State.bool st)) (pick []))
-    in
+    let clauses = random_3sat st ~num_vars ~num_clauses in
     let s, r = solve_clauses ~num_vars clauses in
     let expected = dpll clauses in
     (match r with
@@ -380,6 +392,96 @@ let test_stats_sanity () =
     (let before = st.Solver.conflicts in
      ignore (Solver.solve s);
      (Solver.stats s).Solver.conflicts >= before)
+
+(* {2 Clock, budgets and database reduction} *)
+
+let with_fixed_clock f =
+  let prev = Obs.current () in
+  Obs.set_current (Some (Obs.create ~clock:(Obs.Clock.fixed ()) ~track_alloc:false ()));
+  Fun.protect ~finally:(fun () -> Obs.set_current prev) f
+
+(* The solver keeps time on the clock the spans use, [Obs.now]: under a
+   fixed recorder clock that advances one tick per reading, a deadline a
+   million ticks ahead is never reached, the solve time is a whole number
+   of ticks, and a deadline already behind the clock stops the search at
+   its first check (every 256 conflicts). *)
+let test_deadline_on_obs_clock () =
+  with_fixed_clock (fun () ->
+      let s = solver_of (pigeonhole_clauses 8 7) in
+      Solver.set_deadline s (Some (Obs.now () +. 1e6));
+      Alcotest.(check bool) "php(8,7) refuted before a far deadline" true
+        (Solver.solve s = Solver.Unsat);
+      let st = Solver.stats s in
+      Alcotest.(check bool) "searched past the first deadline check" true
+        (st.Solver.conflicts > 256);
+      Alcotest.(check bool) "solve time in clock ticks" true
+        (Float.is_integer st.Solver.solve_time_s && st.Solver.solve_time_s >= 1.0);
+      let s = solver_of (pigeonhole_clauses 8 7) in
+      Solver.set_deadline s (Some (Obs.now ()));
+      (match Solver.solve s with
+      | exception Solver.Timeout -> ()
+      | _ -> Alcotest.fail "expired deadline ignored");
+      Alcotest.(check int) "stopped at the first check" 256
+        (Solver.stats s).Solver.conflicts;
+      Solver.set_deadline s None;
+      Alcotest.(check bool) "usable after the timeout" true (Solver.solve s = Solver.Unsat))
+
+(* The learnt-DB memory budget trips on its periodic check and leaves the
+   solver usable: lifting it lets the same instance finish. *)
+let test_learnt_budget () =
+  let s = solver_of (pigeonhole_clauses 8 7) in
+  Solver.set_learnt_budget_mb s (Some 0.01);
+  (match Solver.solve s with
+  | exception Solver.Budget_exceeded what ->
+    Alcotest.(check string) "exhausted resource" "learnt-db memory" what
+  | _ -> Alcotest.fail "learnt-DB budget not enforced");
+  Alcotest.(check int) "tripped at the first check" 256 (Solver.stats s).Solver.conflicts;
+  Solver.set_learnt_budget_mb s None;
+  Alcotest.(check bool) "same solver refutes once lifted" true
+    (Solver.solve s = Solver.Unsat)
+
+(* Database reduction deletes learnt clauses and compacts the clause arena
+   under a live search; the DRAT log with its deletions must still check,
+   the core must re-verify, and the relocated database must keep answering.
+   Half of a random 3-SAT instance is guarded by a selector [a]: under [a]
+   it is unsatisfiable after ~1,450 conflicts (one reduction, learnt DB past
+   1,000 clauses); without [a] it is satisfiable. *)
+let test_reduction_and_compaction () =
+  let num_vars = 130 in
+  let a = lit num_vars true in
+  let st = Random.State.make [| 0xdb; 10 |] in
+  let free = random_3sat st ~num_vars ~num_clauses:286 in
+  let guarded =
+    List.map (fun c -> Lit.negate a :: c) (random_3sat st ~num_vars ~num_clauses:286)
+  in
+  let clauses = Array.of_list (free @ guarded) in
+  let s = Solver.create () in
+  Solver.set_proof_logging s true;
+  Solver.ensure_vars s (num_vars + 1);
+  Array.iteri (fun i c -> Solver.add_clause s ~tag:i c) clauses;
+  Alcotest.(check bool) "unsat under a" true (Solver.solve ~assumptions:[ a ] s = Solver.Unsat);
+  let st = Solver.stats s in
+  Alcotest.(check bool) "database reduced" true (st.Solver.db_reductions > 0);
+  Alcotest.(check bool) "learnt clauses deleted" true (st.Solver.deleted_clauses > 0);
+  let proof = Solver.proof s in
+  Alcotest.(check bool) "deletions logged" true
+    (List.exists (function Solver.Pdel _ -> true | Solver.Padd _ -> false) proof);
+  (match
+     Cert.Drat.check ~num_vars:(num_vars + 1) ~original:(Solver.export_clauses s) ~proof
+       ~obligations:[ [ a ] ] ()
+   with
+  | Cert.Drat.Valid _ -> ()
+  | Cert.Drat.Invalid why -> Alcotest.failf "DRAT log rejected: %s" why);
+  let core = List.map (fun i -> clauses.(i)) (Solver.unsat_core_tags s) in
+  Alcotest.(check bool) "core is unsat under a" true
+    (let s2 = solver_of core in
+     Solver.solve ~assumptions:[ a ] s2 = Solver.Unsat);
+  Alcotest.(check bool) "sat without a" true (Solver.solve s = Solver.Sat);
+  check_model s (Array.to_list clauses);
+  Alcotest.(check bool) "still unsat under a" true
+    (Solver.solve ~assumptions:[ a ] s = Solver.Unsat);
+  Alcotest.(check (list int)) "a is the failed assumption" [ a ]
+    (Solver.failed_assumptions s)
 
 (* {2 Property tests} *)
 
@@ -490,6 +592,11 @@ let () =
           Alcotest.test_case "random 3-sat vs dpll oracle" `Quick
             test_random_3sat_vs_dpll;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
+          Alcotest.test_case "deadline on the obs clock" `Quick
+            test_deadline_on_obs_clock;
+          Alcotest.test_case "learnt-db memory budget" `Quick test_learnt_budget;
+          Alcotest.test_case "reduction and compaction" `Quick
+            test_reduction_and_compaction;
         ] );
       ("property", qsuite);
     ]
