@@ -35,7 +35,6 @@ type stats = {
   collapsed_nodes : int;
   vars_saved : int;
   clauses_saved : int;
-  encode_time_s : float;
 }
 
 type t = {
@@ -45,9 +44,9 @@ type t = {
   simplify : bool;
   fold_init : bool;
   track_reasons : bool;
-  frames : (int, (int, Lit.t) Hashtbl.t) Hashtbl.t; (* frame -> node id -> lit *)
+  mutable frames : Lit.t array array; (* frame -> node id -> lit, or [no_lit] *)
   gate_hash : (def * int option, Lit.t) Hashtbl.t;
-  gates : (int, gate) Hashtbl.t; (* var -> gate *)
+  mutable gates : gate option array; (* var -> its gate definition *)
   tags : (Tag.meaning, int) Hashtbl.t;
   meanings : (int, Tag.meaning) Hashtbl.t;
   mutable collapsible : Bytes.t option; (* node id -> may be swallowed *)
@@ -66,7 +65,6 @@ type t = {
   mutable folds : int;
   mutable hash_hits : int;
   mutable collapsed : int;
-  mutable encode_time : float;
 }
 
 let create ?(free_latches = fun _ -> false) ?(simplify = true) ?(fold_init = false)
@@ -78,9 +76,9 @@ let create ?(free_latches = fun _ -> false) ?(simplify = true) ?(fold_init = fal
     simplify;
     fold_init;
     track_reasons;
-    frames = Hashtbl.create 64;
+    frames = [||];
     gate_hash = Hashtbl.create 256;
-    gates = Hashtbl.create 256;
+    gates = [||];
     tags = Hashtbl.create 64;
     meanings = Hashtbl.create 64;
     collapsible = None;
@@ -96,7 +94,6 @@ let create ?(free_latches = fun _ -> false) ?(simplify = true) ?(fold_init = fal
     folds = 0;
     hash_hits = 0;
     collapsed = 0;
-    encode_time = 0.0;
   }
 
 let solver t = t.solver
@@ -157,13 +154,37 @@ let true_lit t = Lit.negate (false_lit t)
 let is_false_lit t l = match t.false_lit with Some f -> l = f | None -> false
 let is_true_lit t l = match t.false_lit with Some f -> l = Lit.negate f | None -> false
 
-let frame_table t frame =
-  match Hashtbl.find_opt t.frames frame with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 256 in
-    Hashtbl.replace t.frames frame tbl;
-    tbl
+(* {2 Per-frame node tables}
+
+   Frame [f]'s table maps a node id to its literal at [f]; [no_lit] marks a
+   node not yet encoded there.  Tables are sized to the netlist and grow
+   with it. *)
+
+let no_lit = -1
+
+let grow a n fill =
+  let b = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let find_node t frame id =
+  if frame >= Array.length t.frames then no_lit
+  else
+    let tbl = t.frames.(frame) in
+    if id < Array.length tbl then tbl.(id) else no_lit
+
+let set_node t frame id l =
+  if frame >= Array.length t.frames then t.frames <- grow t.frames (frame + 1) [||];
+  let tbl = t.frames.(frame) in
+  let tbl =
+    if id < Array.length tbl then tbl
+    else begin
+      let b = grow tbl (max (id + 1) (Netlist.num_nodes t.net)) no_lit in
+      t.frames.(frame) <- b;
+      b
+    end
+  in
+  tbl.(id) <- l
 
 let is_free_latch t l = t.free_latches l
 
@@ -212,10 +233,11 @@ let node_collapsible t id =
 (* {2 Polarity-aware clause emission} *)
 
 let rec ensure_lit t l pol =
-  let pol = if Lit.sign l then pol else flip pol in
-  match Hashtbl.find_opt t.gates (Lit.var l) with
-  | None -> ()
-  | Some g -> ensure_gate t g pol
+  let v = Lit.var l in
+  if v < Array.length t.gates then
+    match t.gates.(v) with
+    | None -> ()
+    | Some g -> ensure_gate t g (if Lit.sign l then pol else flip pol)
 
 and ensure_gate t g pol =
   let need_down, need_up = needs pol in
@@ -262,7 +284,8 @@ let hashed_gate t ?tag pol def =
   | None ->
     let v = new_circ_var t in
     let g = { g_var = v; g_def = def; g_tag = tag; g_down = false; g_up = false } in
-    Hashtbl.replace t.gates v g;
+    if v >= Array.length t.gates then t.gates <- grow t.gates (v + 1) None;
+    t.gates.(v) <- Some g;
     Hashtbl.replace t.gate_hash key (Lit.pos v);
     ensure_gate t g pol;
     Lit.pos v
@@ -347,68 +370,67 @@ let mux_match t id =
 exception False_leaf
 
 let rec node_lit t frame id pol =
-  let tbl = frame_table t frame in
-  match Hashtbl.find_opt tbl id with
-  | Some l ->
+  let l = find_node t frame id in
+  if l <> no_lit then begin
     if t.simplify then ensure_lit t l pol;
     l
-  | None ->
-    if not t.simplify then begin
-      (* Plain mode: the paper-faithful per-frame Tseitin encoding,
-         preserved verbatim for A/B comparison. *)
-      let v = Solver.new_var t.solver in
-      (* Register before elaborating the definition: latch links reach back
-         to earlier frames only, so no cycle goes through (frame, id) itself,
-         but early registration keeps the recursion linear. *)
-      Hashtbl.replace tbl id (Lit.pos v);
-      let lv = Lit.pos v in
-      (match Netlist.node t.net id with
-      | Netlist.Const_false -> add_clause t [ Lit.negate lv ]
-      | Netlist.Input _ | Netlist.Mem_out _ -> ()
-      | Netlist.And (a, b) ->
-        let la = signal_lit t frame a Both in
-        let lb = signal_lit t frame b Both in
-        add_clause t [ Lit.negate lv; la ];
-        add_clause t [ Lit.negate lv; lb ];
-        add_clause t [ lv; Lit.negate la; Lit.negate lb ]
-      | Netlist.Latch { init; next; _ } ->
-        let lsig = Netlist.signal_of_node id false in
-        if not (t.free_latches lsig) then begin
-          let tag = tag_for t (Tag.Latch lsig) in
-          if frame = 0 then begin
-            match init with
-            | Some b ->
-              let a = act_init t in
-              add_clause ~tag t [ Lit.negate a; (if b then lv else Lit.negate lv) ]
-            | None -> ()
-          end
-          else begin
-            match next with
-            | Some n ->
-              let ln = signal_lit t (frame - 1) n Both in
-              add_clause ~tag t [ Lit.negate lv; ln ];
-              add_clause ~tag t [ lv; Lit.negate ln ]
-            | None -> invalid_arg "Cnf: latch with unset next-state"
-          end
-        end);
-      lv
-    end
-    else begin
-      let l =
-        match Netlist.node t.net id with
-        | Netlist.Const_false ->
-          bump_plain t 1 1;
-          false_lit t
-        | Netlist.Input _ | Netlist.Mem_out _ ->
-          bump_plain t 1 0;
-          Lit.pos (new_circ_var t)
-        | Netlist.And _ -> encode_and t frame id pol
-        | Netlist.Latch { init; next; _ } -> encode_latch t frame id pol init next
-      in
-      Hashtbl.replace tbl id l;
-      ensure_lit t l pol;
-      l
-    end
+  end
+  else if not t.simplify then begin
+    (* Plain mode: the paper-faithful per-frame Tseitin encoding,
+       preserved verbatim for A/B comparison. *)
+    let v = Solver.new_var t.solver in
+    (* Register before elaborating the definition: latch links reach back
+       to earlier frames only, so no cycle goes through (frame, id) itself,
+       but early registration keeps the recursion linear. *)
+    set_node t frame id (Lit.pos v);
+    let lv = Lit.pos v in
+    (match Netlist.node t.net id with
+    | Netlist.Const_false -> add_clause t [ Lit.negate lv ]
+    | Netlist.Input _ | Netlist.Mem_out _ -> ()
+    | Netlist.And (a, b) ->
+      let la = signal_lit t frame a Both in
+      let lb = signal_lit t frame b Both in
+      add_clause t [ Lit.negate lv; la ];
+      add_clause t [ Lit.negate lv; lb ];
+      add_clause t [ lv; Lit.negate la; Lit.negate lb ]
+    | Netlist.Latch { init; next; _ } ->
+      let lsig = Netlist.signal_of_node id false in
+      if not (t.free_latches lsig) then begin
+        let tag = tag_for t (Tag.Latch lsig) in
+        if frame = 0 then begin
+          match init with
+          | Some b ->
+            let a = act_init t in
+            add_clause ~tag t [ Lit.negate a; (if b then lv else Lit.negate lv) ]
+          | None -> ()
+        end
+        else begin
+          match next with
+          | Some n ->
+            let ln = signal_lit t (frame - 1) n Both in
+            add_clause ~tag t [ Lit.negate lv; ln ];
+            add_clause ~tag t [ lv; Lit.negate ln ]
+          | None -> invalid_arg "Cnf: latch with unset next-state"
+        end
+      end);
+    lv
+  end
+  else begin
+    let l =
+      match Netlist.node t.net id with
+      | Netlist.Const_false ->
+        bump_plain t 1 1;
+        false_lit t
+      | Netlist.Input _ | Netlist.Mem_out _ ->
+        bump_plain t 1 0;
+        Lit.pos (new_circ_var t)
+      | Netlist.And _ -> encode_and t frame id pol
+      | Netlist.Latch { init; next; _ } -> encode_latch t frame id pol init next
+    in
+    set_node t frame id l;
+    ensure_lit t l pol;
+    l
+  end
 
 and encode_latch t frame id pol init next =
   let lsig = Netlist.signal_of_node id false in
@@ -510,33 +532,15 @@ and signal_lit t frame s pol =
 
 let lit ?(pol = Both) t ~frame s =
   if frame < 0 then invalid_arg "Cnf.lit: negative frame";
-  if not t.simplify then signal_lit t frame s Both
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let l = signal_lit t frame s pol in
-    t.encode_time <- t.encode_time +. (Unix.gettimeofday () -. t0);
-    l
-  end
+  signal_lit t frame s (if t.simplify then pol else Both)
 
 let lit_opt t ~frame s =
-  match Hashtbl.find_opt t.frames frame with
-  | None -> None
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl (Netlist.node_of s) with
-    | None -> None
-    | Some l -> Some (if Netlist.is_complement s then Lit.negate l else l))
+  let l = find_node t frame (Netlist.node_of s) in
+  if l = no_lit then None
+  else Some (if Netlist.is_complement s then Lit.negate l else l)
 
-let and_lit ?tag ?(pol = Both) t lits =
-  let t0 = Unix.gettimeofday () in
-  let l = and_lits t ?tag pol lits in
-  t.encode_time <- t.encode_time +. (Unix.gettimeofday () -. t0);
-  l
-
-let mux_lit ?tag ?(pol = Both) t s a b =
-  let t0 = Unix.gettimeofday () in
-  let l = mux_lits t ?tag pol s a b in
-  t.encode_time <- t.encode_time +. (Unix.gettimeofday () -. t0);
-  l
+let and_lit ?tag ?(pol = Both) t lits = and_lits t ?tag pol lits
+let mux_lit ?tag ?(pol = Both) t s a b = mux_lits t ?tag pol s a b
 
 let clauses_added t = t.clauses_added
 let aux_vars t = t.aux_vars
@@ -548,5 +552,4 @@ let stats t =
     collapsed_nodes = t.collapsed;
     vars_saved = t.plain_vars - t.circ_vars;
     clauses_saved = t.plain_clauses - t.circ_clauses;
-    encode_time_s = t.encode_time;
   }

@@ -150,7 +150,6 @@ type stats = {
       (** circuit variables avoided vs. the plain per-frame Tseitin encoding
           of the same requests *)
   clauses_saved : int;  (** circuit clauses avoided, same baseline *)
-  encode_time_s : float;  (** wall time spent inside {!lit}/{!and_lit} *)
 }
 
 val stats : t -> stats

@@ -150,16 +150,18 @@ let error_of_result (result : Bmc.Engine.result) =
 let outcome_of_result ?emm_counts ?abstraction ~model_latches ~time_s replay_net
     (result : Bmc.Engine.result) =
   let stats = result.Bmc.Engine.stats in
-  let emm_saved_v, emm_saved_c, emm_encode =
+  let emm_saved_v, emm_saved_c =
     match emm_counts with
-    | Some c -> (c.Emm.saved_vars, c.Emm.saved_clauses, c.Emm.encode_time_s)
-    | None -> (0, 0, 0.0)
+    | Some c -> (c.Emm.saved_vars, c.Emm.saved_clauses)
+    | None -> (0, 0)
   in
   {
     conclusion = conclusion_of_result replay_net result;
     time_s;
     solve_time_s = stats.Bmc.Engine.solve_time;
-    encode_time_s = stats.Bmc.Engine.encode_time +. emm_encode;
+    (* The EMM hooks run inside the engine's encode span, so its
+       [encode_time] already includes [Emm.encode_time_s]. *)
+    encode_time_s = stats.Bmc.Engine.encode_time;
     memory_mb = stats.Bmc.Engine.peak_memory_mb;
     model_latches;
     model_vars = stats.Bmc.Engine.num_vars;

@@ -66,10 +66,15 @@ type access = {
   ra_lits : Lit.t array;
 }
 
+(* The literal buses of one write port at one frame. *)
+type write_bus = { wa : Lit.t array; wd : Lit.t array; we : Lit.t }
+
 type mem_state = {
   mem : Netlist.memory;
   tag : int;
   mutable accesses : access list; (* newest first *)
+  mutable writes : write_bus option array;
+      (* frame * write ports + port -> its buses, built on first use *)
 }
 
 type t = {
@@ -85,9 +90,10 @@ type t = {
   eq_memo : (int * Lit.t array * Lit.t array, Lit.t) Hashtbl.t;
   s_memo : (int * Lit.t array * Lit.t array * Lit.t, Lit.t) Hashtbl.t;
   (* Memory-state distinctness state (see [mem_distinct_lit]): phantom read
-     accesses per (memory tag, frame, address bus), the per-frame
-     "this step changes memory" predicates, and the per-(i, j) distinctness
-     literals handed to the engine's loop-free-path clauses. *)
+     accesses, or the always-enabled real reads standing in for them, per
+     (memory tag, frame, address bus), the per-frame "this step changes
+     memory" predicates, and the per-(i, j) distinctness literals handed to
+     the engine's loop-free-path clauses. *)
   distinct_tag : int;
   phantom_memo : (int * int * Lit.t array, access) Hashtbl.t;
   chg_memo : (int, Lit.t) Hashtbl.t;
@@ -117,7 +123,7 @@ let create ?memories ?(init_consistency = true) ?simplify unr =
                (Netlist.memory_name mem))
         | Netlist.Zeros | Netlist.Arbitrary -> ());
         let tag = Cnf.tag_for unr (Cnf.Tag.Memory (Netlist.memory_id mem)) in
-        { mem; tag; accesses = [] })
+        { mem; tag; accesses = []; writes = [||] })
       mems
   in
   {
@@ -361,6 +367,28 @@ let chain_pair t ~tag s ps' =
 
 let lits_of_bus t ~frame bus = Array.map (fun s -> Cnf.lit t.unr ~frame s) bus
 
+(* Write port [w] of [ms] at frame [j], encoded on first use and shared by
+   every later read.  The enable is requested first, then the data bus,
+   then the address bus: the request order fixes the numbering of the
+   variables they introduce. *)
+let write_bus t ms j w =
+  let i = (j * Netlist.num_write_ports ms.mem) + w in
+  if i >= Array.length ms.writes then begin
+    let a = Array.make (max (i + 1) (2 * Array.length ms.writes)) None in
+    Array.blit ms.writes 0 a 0 (Array.length ms.writes);
+    ms.writes <- a
+  end;
+  match ms.writes.(i) with
+  | Some b -> b
+  | None ->
+    let wa_bus, wd_bus, we_sig = Netlist.write_port ms.mem w in
+    let we = Cnf.lit t.unr ~frame:j we_sig in
+    let wd = lits_of_bus t ~frame:j wd_bus in
+    let wa = lits_of_bus t ~frame:j wa_bus in
+    let b = { wa; wd; we } in
+    ms.writes.(i) <- Some b;
+    b
+
 (* Polarity-reduced equation-(6) consistency between two accesses: the pair
    variable u only needs (premises -> u) and (u -> V = V'), since u never
    occurs elsewhere.  Shared by the simplifying read encoder and the phantom
@@ -411,16 +439,11 @@ let constrain_read_plain t ms k r =
   let ra = lits_of_bus t ~frame:k addr_bus in
   let re = Cnf.lit unr ~frame:k enable in
   let rd = lits_of_bus t ~frame:k out in
-  (* Write-port literals per frame: (addr, data, we). *)
-  let write_lits j w =
-    let wa, wd, we = Netlist.write_port mem w in
-    (lits_of_bus t ~frame:j wa, lits_of_bus t ~frame:j wd, Cnf.lit unr ~frame:j we)
-  in
   (* s(j,w) = E(j,k,w,r) /\ WE(j,w) for every write access before k. *)
   let s_of =
     Array.init k (fun j ->
         Array.init w_count (fun w ->
-            let wa, _, we = write_lits j w in
+            let { wa; we; _ } = write_bus t ms j w in
             let e = addr_equal t ~tag ~bump:bump_addr wa ra in
             and_gate t ~tag e we))
   in
@@ -441,7 +464,7 @@ let constrain_read_plain t ms k r =
   (* Read-data constraints (eq. 5): S(i,p) -> RD = WD(i,p). *)
   for i = 0 to k - 1 do
     for p = 0 to w_count - 1 do
-      let _, wd, _ = write_lits i p in
+      let { wd; _ } = write_bus t ms i p in
       let sel = s_sel.(i).(p) in
       for b = 0 to n_bits - 1 do
         emitc ~tag t [ Lit.negate sel; Lit.negate rd.(b); wd.(b) ];
@@ -517,15 +540,11 @@ let constrain_read_simpl t ms k r =
   let ra = lits_of_bus t ~frame:k addr_bus in
   let re = Cnf.lit unr ~frame:k enable in
   let rd = lits_of_bus t ~frame:k out in
-  let write_lits j w =
-    let wa, wd, we = Netlist.write_port mem w in
-    (lits_of_bus t ~frame:j wa, lits_of_bus t ~frame:j wd, Cnf.lit unr ~frame:j we)
-  in
   (* s(j,w) = (WA(j,w) = RA) /\ WE(j,w), merged and memoized. *)
   let s_of =
     Array.init k (fun j ->
         Array.init w_count (fun w ->
-            let wa, _, we = write_lits j w in
+            let { wa; we; _ } = write_bus t ms j w in
             plain (m_bits + 4) ((4 * m_bits) + 10);
             let before = t.emitted in
             let s = s_net t ~tag wa ra we in
@@ -549,7 +568,7 @@ let constrain_read_simpl t ms k r =
       plain 0 (2 * n_bits);
       let sel = s_sel.(i).(p) in
       if not (is_f t sel) then begin
-        let _, wd, _ = write_lits i p in
+        let { wd; _ } = write_bus t ms i p in
         let prefix = if is_t t sel then [] else [ Lit.negate sel ] in
         let emitted = ref 0 in
         for b = 0 to n_bits - 1 do
@@ -614,6 +633,10 @@ let constrain_read_simpl t ms k r =
         init_pair_reduced t ~tag ~n_bits this other)
       ms.accesses;
   ms.accesses <- this :: ms.accesses;
+  (* Enabled in every state, this read observes the word stored at [ra]
+     entering frame [k]: it doubles as the phantom read for (k, ra). *)
+  if is_t t re && not (Hashtbl.mem t.phantom_memo (tag, k, ra)) then
+    Hashtbl.replace t.phantom_memo (tag, k, ra) this;
   bump_saved t
     (!plain_vars - (t.current.aux_vars - vars0))
     (!plain_clauses - (t.emitted - emitted0))
@@ -693,10 +716,12 @@ let counts_total t =
    same merged select networks, exclusivity chain, reset-contents and
    equation-(6) machinery as a real read port with RE = true, and registered
    as an access (port -1) so initial-state consistency ties its
-   never-written word to every other access of the memory.  Phantom reads
-   are memoized per (memory, frame, address bus) and chg(f) per frame, so
-   the O(depth^2) frame pairs requested by the engine share O(depth x
-   write-ports) phantom reads. *)
+   never-written word to every other access of the memory.  A real read
+   port with RE = true at the same frame and address bus already is that
+   word, and stands in for the phantom read ([constrain_read_simpl]
+   registers it).  Phantom reads are memoized per (memory, frame, address
+   bus) and chg(f) per frame, so the O(depth^2) frame pairs requested by
+   the engine share O(depth x write-ports) phantom reads. *)
 
 (* Phantom read of memory [ms] at frame [f], address bus [ra] (already
    per-frame literals).  Returns the registered access; its [v_lits] is the
@@ -712,15 +737,11 @@ let phantom_access t ms f ra =
     let n_bits = Netlist.memory_data_width mem in
     let w_count = Netlist.num_write_ports mem in
     let pv = Array.init n_bits (fun _ -> fresh t) in
-    let write_lits j w =
-      let wa, wd, we = Netlist.write_port mem w in
-      (lits_of_bus t ~frame:j wa, lits_of_bus t ~frame:j wd, Cnf.lit unr ~frame:j we)
-    in
     (* s(j,w) over every write access before [f]; RE = true. *)
     let s_of =
       Array.init f (fun j ->
           Array.init w_count (fun w ->
-              let wa, _, we = write_lits j w in
+              let { wa; we; _ } = write_bus t ms j w in
               let before = t.emitted in
               let s = s_net t ~tag wa ra we in
               bump_addr t (t.emitted - before);
@@ -741,7 +762,7 @@ let phantom_access t ms f ra =
       for p = 0 to w_count - 1 do
         let sel = s_sel.(j).(p) in
         if not (is_f t sel) then begin
-          let _, wd, _ = write_lits j p in
+          let { wd; _ } = write_bus t ms j p in
           let prefix = if is_t t sel then [] else [ Lit.negate sel ] in
           let emitted = ref 0 in
           for b = 0 to n_bits - 1 do

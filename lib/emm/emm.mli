@@ -132,7 +132,18 @@ val mem_distinct_lit : t -> i:int -> j:int -> Satsolver.Lit.t
     at frame [i] can differ from frame [j]: it implies that some enabled
     write in [j, i) stored a value the addressed location did not already
     hold.  Memoized per pair; the per-frame change predicates and phantom
-    reads beneath it are shared across pairs.  Plugged into the
+    reads beneath it are shared across pairs.
+
+    A phantom read at frame [f] and address bus [A] is {e shared} with a
+    real read when one exists: a read port of the same memory at frame [f]
+    whose address literals are [A] and whose enable folds to the true
+    literal (simplify mode, where the read's initial word is its read-data
+    bus).  That read already observes the word stored at [A] entering
+    frame [f], so no second select network, exclusivity chain, equation-(5)
+    block or equation-(6) access is built, and read-before-write designs
+    keep one access per read port and frame.  Gated reads, the plain
+    encoder ([simplify = false]) and memories without such a read get a
+    phantom read of their own.  Plugged into the
     [mem_distinct] field of {!Bmc.Engine.hooks} by {!hooks} so termination proofs stay
     sound when latch state repeats while memory contents diverge.  Raises
     [Invalid_argument] outside the encoded depth range. *)

@@ -145,6 +145,7 @@ type t = {
   mutable conflict_base : int; (* [t.conflicts] at [solve] entry *)
   mutable learnt_budget_mb : float option; (* learnt-DB memory ceiling *)
   mutable learnt_words : int; (* words held by live learnt clauses *)
+  mutable lits_buf : int array; (* scratch: the clause being taken in *)
   (* Portfolio hooks — all inert by default; see lib/portfolio. *)
   mutable stop : bool Atomic.t option; (* cooperative cancellation flag *)
   mutable share_callback : (lbd:int -> Lit.t list -> bool) option;
@@ -229,6 +230,7 @@ let create () =
     conflict_base = 0;
     learnt_budget_mb = None;
     learnt_words = 0;
+    lits_buf = Array.make 64 0;
     stop = None;
     share_callback = None;
     import_source = None;
@@ -353,10 +355,50 @@ let grow_arrays t n =
 
 (* {2 The clause arena} *)
 
-(* Store a clause and return its cref.  The arena may move: callers re-read
-   [t.arena] afterwards. *)
-let alloc_clause t ~learnt ~cid ~lbd lits =
+(* {3 Clause intake}
+
+   Every clause enters through [t.lits_buf]: [load_lits] copies it there,
+   [normalise] sorts and cleans it in place, and [alloc_clause] stores the
+   buffer's first [n] literals. *)
+
+let rec blit_list a i = function
+  | [] -> ()
+  | l :: rest ->
+    Array.unsafe_set a i l;
+    blit_list a (i + 1) rest
+
+let load_lits t lits =
   let n = List.length lits in
+  if n > Array.length t.lits_buf then
+    t.lits_buf <- Array.make (max n (2 * Array.length t.lits_buf)) 0;
+  blit_list t.lits_buf 0 lits;
+  n
+
+(* Shell sort (Knuth's gaps) of [a.(0) .. a.(n-1)], ascending: an insertion
+   sort on the short clauses that make up nearly all intake, and no
+   quadratic blow-up on long ones. *)
+let sort_prefix a n =
+  let gap = ref 1 in
+  while !gap < n / 3 do
+    gap := (3 * !gap) + 1
+  done;
+  while !gap >= 1 do
+    let h = !gap in
+    for i = h to n - 1 do
+      let x = a.(i) in
+      let j = ref i in
+      while !j >= h && a.(!j - h) > x do
+        a.(!j) <- a.(!j - h);
+        j := !j - h
+      done;
+      a.(!j) <- x
+    done;
+    gap := h / 3
+  done
+
+(* Store a clause of [n] literals from [t.lits_buf] and return its cref.
+   The arena may move: callers re-read [t.arena] afterwards. *)
+let alloc_clause t ~learnt ~cid ~lbd n =
   let cr = t.arena_top in
   let top = cr + hdr + n in
   t.arena <- reserve t.arena top cr 0;
@@ -364,7 +406,7 @@ let alloc_clause t ~learnt ~cid ~lbd lits =
   a.(cr) <- (n lsl 2) lor (if learnt then learnt_bit else 0);
   a.(cr + 1) <- cid;
   a.(cr + 2) <- lbd;
-  List.iteri (fun i l -> a.(cr + hdr + i) <- l) lits;
+  Array.blit t.lits_buf 0 a (cr + hdr) n;
   t.arena_top <- top;
   t.clause_act <- reserve t.clause_act (cid + 1) (Array.length t.clause_act) 0.0;
   cr
@@ -974,6 +1016,29 @@ let install_clause t cr =
   end
   else attach_clause t cr
 
+(* Sort the [n] literals in [t.lits_buf] ascending and drop duplicates in
+   place.  Returns how many remain; -1 when the clause is a tautology or
+   already satisfied at root, -2 when it names an undeclared variable.  A
+   literal and its negation (2v, 2v + 1) end up neighbours, so one pass
+   finds duplicates and complementary pairs alike. *)
+let normalise t n =
+  let a = t.lits_buf in
+  sort_prefix a n;
+  let m = ref 0 and dropped = ref false and undeclared = ref false in
+  for i = 0 to n - 1 do
+    let l = a.(i) in
+    let last = if !m > 0 then a.(!m - 1) else -1 in
+    if l = last then ()
+    else if l = negate last then dropped := true
+    else begin
+      if var l >= t.nvars then undeclared := true
+      else if lit_value t l = 1 then dropped := true;
+      a.(!m) <- l;
+      incr m
+    end
+  done;
+  if !dropped then -1 else if !undeclared then -2 else !m
+
 let add_clause ?(tag = -1) t lits =
   (* The listener sees the raw clause stream, pre-simplification and even
      when the solver is already unsat — portfolio replicas must replay the
@@ -982,20 +1047,13 @@ let add_clause ?(tag = -1) t lits =
   if t.ok then begin
     if t.n_levels <> 0 then invalid_arg "Solver.add_clause: not at root level";
     (* Deduplicate and drop tautologies / root-satisfied clauses. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (negate l) lits) lits
-      || List.exists (fun l -> lit_value t l = 1) lits
-    in
-    if not tautology then begin
-      List.iter (fun l ->
-          if var l >= t.nvars then
-            invalid_arg "Solver.add_clause: undeclared variable")
-        lits;
+    let n = normalise t (load_lits t lits) in
+    if n = -2 then invalid_arg "Solver.add_clause: undeclared variable";
+    if n >= 0 then begin
       let cid = t.next_cid in
       t.next_cid <- cid + 1;
       Hashtbl.replace t.cid_info cid (Original tag);
-      let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 lits in
+      let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 n in
       t.clauses <- push_int t.clauses t.n_clauses cr;
       t.n_clauses <- t.n_clauses + 1;
       install_clause t cr
@@ -1014,7 +1072,7 @@ let learn_clause t lits lbd premises =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   Hashtbl.replace t.cid_info cid (Learnt_from premises);
-  let cr = alloc_clause t ~learnt:true ~cid ~lbd lits in
+  let cr = alloc_clause t ~learnt:true ~cid ~lbd (load_lits t lits) in
   let n = clause_size t cr in
   t.learnt_words <- t.learnt_words + clause_words n;
   t.learnt_total <- t.learnt_total + 1;
@@ -1044,18 +1102,13 @@ let learn_clause t lits lbd premises =
    or already satisfied at root). *)
 let import_clause t lits =
   if t.n_levels <> 0 then invalid_arg "Solver.import_clause: not at root level";
-  let lits = List.sort_uniq compare lits in
-  if
-    lits = []
-    || List.exists (fun l -> var l >= t.nvars) lits
-    || List.exists (fun l -> List.mem (negate l) lits) lits
-    || List.exists (fun l -> lit_value t l = 1) lits
-  then false
+  let n = normalise t (load_lits t lits) in
+  if n <= 0 then false
   else begin
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
     Hashtbl.replace t.cid_info cid Imported;
-    let cr = alloc_clause t ~learnt:true ~cid ~lbd:2 lits in
+    let cr = alloc_clause t ~learnt:true ~cid ~lbd:2 n in
     t.learnt_words <- t.learnt_words + clause_words (clause_size t cr);
     push_learnt t cr;
     install_clause t cr;

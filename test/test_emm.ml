@@ -542,6 +542,53 @@ let test_distinct_counts_reported () =
   Alcotest.(check bool) "distinct_preds > 0" true (counts.Emm.distinct_preds > 0);
   Alcotest.(check bool) "distinct_clauses > 0" true (counts.Emm.distinct_clauses > 0)
 
+(* {2 Phantom reads shared with real reads}
+
+   The distinctness machinery needs the word a write port's target location
+   holds at each frame.  When an always-enabled read of the same memory at
+   the same frame has the same address bus, that read {e is} the word, so
+   it stands in for the phantom read and the memory keeps one access per
+   frame.  A gated read observes the word only when its enable holds, so a
+   phantom read is still built beside it. *)
+
+let counter_mem ~gated =
+  let ctx = Hdl.create () in
+  let mem = Hdl.memory ctx ~name:"m" ~addr_width:1 ~data_width:2 ~init:Netlist.Zeros in
+  let cnt = Hdl.reg ctx "cnt" ~width:1 in
+  Hdl.connect ctx cnt (Hdl.incr ctx cnt);
+  Hdl.write_port ctx mem ~addr:cnt ~data:(Hdl.const ~width:2 1) ~enable:Netlist.true_;
+  let en = if gated then Hdl.input_bit ctx "en" else Netlist.true_ in
+  let rd = Hdl.read_port ctx mem ~addr:cnt ~enable:en in
+  let net = Hdl.netlist ctx in
+  Hdl.assert_always ctx "p"
+    (Netlist.not_ (Netlist.and_ net en (Hdl.eq_const ctx rd 2)));
+  net
+
+(* One access per frame: eq. (6) pairs every two of the d + 1 reads at
+   depths 0..d, d(d+1)/2 pairs in all; a phantom read per frame beside each
+   read would double the accesses. *)
+let test_phantom_shared_with_read () =
+  let net = counter_mem ~gated:false in
+  let result, counts = Emm.check ~config:proof_config net ~property:"p" in
+  Alcotest.(check string) "verdict" "induction@2" (proof_sig result.Bmc.Engine.verdict);
+  let d = 2 in
+  Alcotest.(check int) "one access per frame" (d * (d + 1) / 2) counts.Emm.init_pairs
+
+(* Gated on an input, the read leaves its data unconstrained when disabled:
+   the phantom reads stay, and every encoding agrees on the verdict. *)
+let test_phantom_kept_beside_gated_read () =
+  let net = counter_mem ~gated:true in
+  let result, counts = Emm.check ~config:proof_config net ~property:"p" in
+  let verdict = proof_sig result.Bmc.Engine.verdict in
+  Alcotest.(check string) "verdict" "induction@2" verdict;
+  Alcotest.(check int) "read and phantom accesses" 10 counts.Emm.init_pairs;
+  let explicit =
+    Bmc.Engine.check ~config:proof_config (Explicitmem.expand net) ~property:"p"
+  in
+  Alcotest.(check string) "explicit" (proof_sig explicit.Bmc.Engine.verdict) verdict;
+  let plain, _ = Emm.check ~config:proof_config ~simplify:false net ~property:"p" in
+  Alcotest.(check string) "plain encoder" (proof_sig plain.Bmc.Engine.verdict) verdict
+
 let test_words_init_rejected () =
   let ctx = Hdl.create () in
   let _mem =
@@ -586,6 +633,10 @@ let () =
             test_pinned_pure_memory;
           Alcotest.test_case "distinctness telemetry in counts" `Quick
             test_distinct_counts_reported;
+          Alcotest.test_case "phantom read shared with an enabled read" `Quick
+            test_phantom_shared_with_read;
+          Alcotest.test_case "phantom read kept beside a gated read" `Quick
+            test_phantom_kept_beside_gated_read;
           Alcotest.test_case "induction with arbitrary memory" `Quick
             test_induction_with_arbitrary_memory;
           Alcotest.test_case "words init rejected" `Quick test_words_init_rejected;

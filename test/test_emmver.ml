@@ -116,6 +116,23 @@ let test_no_race_when_unreachable () =
   Alcotest.(check bool) "exclusive enables never race" true
     (Emm.find_data_race ~max_depth:4 net = None)
 
+(* The layers of an outcome's time nest: solving and encoding are disjoint
+   spans of the call, and the EMM constraints are part of the encode span
+   rather than added on top of it. *)
+let test_time_layers_within_total () =
+  let check name method_ max_depth net property =
+    let o = Emmver.verify ~options:(options max_depth) ~method_ net ~property in
+    if o.Emmver.solve_time_s +. o.Emmver.encode_time_s > o.Emmver.time_s then
+      Alcotest.failf "%s: solve %.4fs + encode %.4fs exceeds the %.4fs call" name
+        o.Emmver.solve_time_s o.Emmver.encode_time_s o.Emmver.time_s
+  in
+  check "multiport/hit0" Emmver.Emm_falsify 10
+    (Designs.Multiport.build Designs.Multiport.default_config)
+    "hit0";
+  check "quicksort-buggy-n3/P1" Emmver.Emm_bmc 30
+    (Designs.Quicksort.build ~buggy:true (Designs.Quicksort.default_config ~n:3))
+    "P1"
+
 let () =
   Alcotest.run "emmver"
     [
@@ -132,5 +149,7 @@ let () =
           Alcotest.test_case "no race single port" `Quick test_no_race_single_port;
           Alcotest.test_case "no race when unreachable" `Quick
             test_no_race_when_unreachable;
+          Alcotest.test_case "solve + encode within the call" `Quick
+            test_time_layers_within_total;
         ] );
     ]

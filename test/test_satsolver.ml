@@ -491,6 +491,23 @@ let gen_clauses num_vars =
     let gen_clause = list_size (int_range 1 3) gen_lit in
     list_size (int_range 1 40) gen_clause)
 
+(* Clause intake keeps a clause as its sorted, duplicate-free literal list
+   and drops it when it holds a literal and its negation, long clauses
+   included. *)
+let prop_clause_normalised =
+  QCheck2.Test.make ~count:300 ~name:"stored clause is sorted and duplicate-free"
+    ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(
+      list_size (int_range 1 60) (map2 (fun v s -> lit v s) (int_bound 40) bool))
+    (fun lits ->
+      let s = Solver.create () in
+      Solver.ensure_vars s 41;
+      Solver.add_clause s lits;
+      let sorted = List.sort_uniq compare lits in
+      let tautology = List.exists (fun l -> List.mem (Lit.negate l) sorted) sorted in
+      let expected = if tautology then [] else [ sorted ] in
+      Solver.export_clauses s = expected)
+
 let prop_agrees_with_brute_force =
   QCheck2.Test.make ~count:300 ~name:"solver agrees with truth table"
     (gen_clauses 8)
@@ -555,6 +572,7 @@ let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [
+        prop_clause_normalised;
         prop_agrees_with_brute_force;
         prop_core_is_unsat;
         prop_assumption_core;
