@@ -1060,8 +1060,7 @@ let solver_json () =
           close_out oc;
           let label =
             match
-              Cert.Drat.check ~num_vars:nvars ~original:clauses ~proof
-                ~obligations:[ [] ] ()
+              Cert.Drat.check ~original:clauses ~proof ~obligations:[ [] ] ()
             with
             | Cert.Drat.Valid _ -> "drat-checked"
             | Cert.Drat.Invalid why -> "refuted: " ^ why

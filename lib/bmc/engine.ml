@@ -300,25 +300,37 @@ let extract_trace run depth =
   in
   { Trace.property = run.prop_name; depth; inputs; latch0; mem_init; watch }
 
+(* A finished solver's original clauses and DRAT derivation, each exported
+   at most once and shared by the checker, the proof file, the step count
+   and the stored artifact. *)
+type evidence = {
+  ev_original : Lit.t list list Lazy.t;
+  ev_proof : Cert.Drat.step list Lazy.t;
+}
+
+let evidence_of solver =
+  { ev_original = lazy (Solver.export_clauses solver); ev_proof = lazy (Solver.proof solver) }
+
 (* Validate every recorded UNSAT answer against the solver's DRAT log with
-   the independent checker of [Cert.Drat]. *)
-let certify_unsat run =
+   the independent checker of [Cert.Drat].  [ev] is the run's own solver's
+   evidence. *)
+let certify_unsat run ev =
   if run.obligations = [] then Cert.Unchecked "no unsat obligations recorded"
   else begin
     (* Under a portfolio, obligations are grouped by the instance that
        answered them: every instance keeps a self-contained DRAT log over
        the same (replayed) original clauses, so each group is checked
        against its own instance's derivation. *)
-    let solver_of k =
+    let evidence_at k =
       match run.portfolio with
-      | Some p -> Portfolio.instance p k
-      | None -> run.solver
+      | Some p -> evidence_of (Portfolio.instance p k)
+      | None -> ev
     in
     let instances = List.sort_uniq compare (List.map snd run.obligations) in
     let rec go = function
       | [] -> Cert.Certified Cert.Drat_checked
       | k :: rest -> (
-        let solver = solver_of k in
+        let ev = evidence_at k in
         let obligations =
           List.rev
             (List.filter_map
@@ -326,10 +338,8 @@ let certify_unsat run =
                run.obligations)
         in
         match
-          Cert.Drat.check
-            ~num_vars:(Solver.num_vars solver)
-            ~original:(Solver.export_clauses solver)
-            ~proof:(Solver.proof solver) ~obligations ()
+          Cert.Drat.check ~original:(Lazy.force ev.ev_original)
+            ~proof:(Lazy.force ev.ev_proof) ~obligations ()
         with
         | Cert.Drat.Valid _ -> go rest
         | Cert.Drat.Invalid why -> Cert.Refuted why)
@@ -337,24 +347,24 @@ let certify_unsat run =
     go instances
   end
 
-let dump_proof run =
+let dump_proof run ev =
   match run.cfg.proof_file with
   | Some path when run.cfg.certify ->
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Cert.Drat.output oc (Solver.proof run.solver))
+      (fun () -> Cert.Drat.output oc (Lazy.force ev.ev_proof))
   | Some _ | None -> ()
 
 (* The certificate for a finished run: UNSAT verdicts (proofs, and bounded /
    stability results whose every depth answered UNSAT) go through the DRAT
    checker; counterexamples are replayed on the concrete design. *)
-let certify_verdict run verdict =
+let certify_verdict run ev verdict =
   if not run.cfg.certify then Cert.Unchecked "certification disabled"
   else begin
-    dump_proof run;
+    dump_proof run ev;
     match verdict with
-    | Proof _ | Bounded_safe _ | Reasons_stable _ -> certify_unsat run
+    | Proof _ | Bounded_safe _ | Reasons_stable _ -> certify_unsat run ev
     | Counterexample t -> Trace.certify run.net t
     | Timed_out _ -> Cert.Unchecked "timed out"
     | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what)
@@ -479,7 +489,8 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
     | Solver.Budget_exceeded what -> Out_of_budget { depth = !completed; what }
   in
   let cert_t0 = Obs.now () in
-  let certificate = Obs.span "certify" (fun () -> certify_verdict run verdict) in
+  let ev = evidence_of solver in
+  let certificate = Obs.span "certify" (fun () -> certify_verdict run ev verdict) in
   let cert_time_s = Obs.now () -. cert_t0 in
   let gc = Gc.quick_stat () in
   let cnf_stats = Cnf.stats unr in
@@ -496,7 +507,7 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
       solve_time = run.solve_time;
       encode_time = run.encode_time;
       cert_time_s;
-      proof_steps = (if config.certify then List.length (Solver.proof solver) else 0);
+      proof_steps = (if config.certify then List.length (Lazy.force ev.ev_proof) else 0);
       num_vars = Solver.num_vars solver;
       num_clauses = Solver.num_clauses solver;
       num_conflicts = sstats.Solver.conflicts;
@@ -522,8 +533,8 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
       Some
         {
           ca_num_vars = Solver.num_vars solver;
-          ca_original = Solver.export_clauses solver;
-          ca_proof = Solver.proof solver;
+          ca_original = Lazy.force ev.ev_original;
+          ca_proof = Lazy.force ev.ev_proof;
           ca_obligations = List.rev_map (fun (cube, _) -> cube) run.obligations;
         }
     | _ -> None
@@ -686,12 +697,13 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   (* One DRAT check serves every UNSAT-backed verdict: all obligations were
      answered by the same incremental solver over the shared unrolling. *)
   let cert_t0 = Obs.now () in
+  let ev = evidence_of solver in
   let unsat_certificate =
     lazy
       (if not config.certify then Cert.Unchecked "certification disabled"
        else begin
-         dump_proof run;
-         certify_unsat run
+         dump_proof run ev;
+         certify_unsat run ev
        end)
   in
   let certificate_of verdict =
@@ -719,7 +731,7 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       solve_time = run.solve_time;
       encode_time = run.encode_time;
       cert_time_s = 0.0;
-      proof_steps = (if config.certify then List.length (Solver.proof solver) else 0);
+      proof_steps = (if config.certify then List.length (Lazy.force ev.ev_proof) else 0);
       num_vars = Solver.num_vars solver;
       num_clauses = Solver.num_clauses solver;
       num_conflicts = sstats.Solver.conflicts;

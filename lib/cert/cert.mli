@@ -46,7 +46,17 @@ val pp : Format.formatter -> t -> unit
     consequence of the clauses preceding it.  Deletion steps are honoured
     when propagating, which is what makes checking tractable; since deletion
     never removes logical implications, a failed obligation is re-tried once
-    with all deleted lemmas revived before being rejected. *)
+    with all deleted lemmas revived before being rejected.
+
+    Clauses live in one flat store: a single literal array with per-clause
+    start and length, duplicate literals dropped at load, and alive/marked
+    flags in byte strings.  Propagation watches two literals per clause and
+    visits only the watch list of the literal just falsified; dead clauses
+    stay on their watch lists and are skipped.  Deletion steps find their
+    clause through an order-independent hash of its literal set, in an
+    index built when the first deletion arrives (a proof without deletions
+    never builds it).  Every array is sized from the largest variable among
+    the given literals, never from a claimed variable count. *)
 module Drat : sig
   type step = Satsolver.Solver.proof_step =
     | Padd of Satsolver.Lit.t list
@@ -63,7 +73,6 @@ module Drat : sig
 
   val check :
     ?every_lemma:bool ->
-    num_vars:int ->
     original:Satsolver.Lit.t list list ->
     proof:step list ->
     obligations:Satsolver.Lit.t list list ->
@@ -76,16 +85,11 @@ module Drat : sig
       or not an obligation depends on them — slower, used by tests that
       must detect any corrupted line. *)
 
-  val clause_is_rup :
-    num_vars:int ->
-    Satsolver.Lit.t list list ->
-    Satsolver.Lit.t list ->
-    bool
-  (** [clause_is_rup ~num_vars set clause]: does asserting the negation of
+  val clause_is_rup : Satsolver.Lit.t list list -> Satsolver.Lit.t list -> bool
+  (** [clause_is_rup set clause]: does asserting the negation of
       [clause] over [set] yield a conflict by unit propagation alone? *)
 
   val verify :
-    num_vars:int ->
     original:Satsolver.Lit.t list list ->
     derivation:Satsolver.Lit.t list list ->
     bool

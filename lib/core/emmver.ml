@@ -442,9 +442,8 @@ let outcome_of_entry ~certify ~t0 net ~property (e : Vcache.entry) =
       match e.Vcache.e_payload with
       | Vcache.Drat_payload a -> (
         match
-          Cert.Drat.check ~num_vars:a.Bmc.Engine.ca_num_vars
-            ~original:a.Bmc.Engine.ca_original ~proof:a.Bmc.Engine.ca_proof
-            ~obligations:a.Bmc.Engine.ca_obligations ()
+          Cert.Drat.check ~original:a.Bmc.Engine.ca_original
+            ~proof:a.Bmc.Engine.ca_proof ~obligations:a.Bmc.Engine.ca_obligations ()
         with
         | Cert.Drat.Valid r ->
           Hit (base conclusion (Cert.Certified Cert.Drat_checked) r.Cert.Drat.steps)

@@ -1,13 +1,13 @@
 type result = Sat | Unsat
 
-(* Bookkeeping needed to rebuild refutations after clause deletion: original
-   clauses keep their tag, learnt clauses keep the premises they were
-   resolved from.  Premise entries >= 0 are clause ids; a negative entry
-   -(v+1) refers to the root-level derivation of variable [v] (root
-   assignments are permanent, so their reason chains can be re-traversed at
-   core-extraction time). *)
+(* Bookkeeping needed to rebuild refutations after clause deletion, for the
+   clause ids that are not original clauses ([cid_tag] holds [derived] for
+   them): learnt clauses keep the premises they were resolved from.
+   Premise entries >= 0 are clause ids; a negative entry -(v+1) refers to
+   the root-level derivation of variable [v] (root assignments are
+   permanent, so their reason chains can be re-traversed at core-extraction
+   time). *)
 type cid_info =
-  | Original of int
   | Learnt_from of int array
   | Imported  (* clause imported from a portfolio peer; no local derivation *)
 
@@ -85,6 +85,9 @@ let clause_words n = hdr + n + 4
    [reduce_db] compacts the arena. *)
 let garbage_fraction = 0.2
 
+(* [cid_tag] entry of a learnt or imported clause. *)
+let derived = -2
+
 let[@inline] var l = l lsr 1
 let[@inline] negate l = l lxor 1
 let[@inline] positive l = l land 1 = 0
@@ -120,8 +123,14 @@ type t = {
   mutable heap : int array;
   mutable heap_size : int;
   mutable heap_pos : int array;
-  cid_info : (int, cid_info) Hashtbl.t;
+  mutable cid_tag : int array; (* cid -> caller's tag (-1 none), or [derived] *)
+  cid_info : (int, cid_info) Hashtbl.t; (* derived cids only *)
   mutable next_cid : int;
+  (* [collect_refutation]'s visited marks: clause ids and variables whose
+     stamp equals [refute_stamp] were reached by the current traversal. *)
+  mutable refute_stamp : int;
+  mutable cid_stamp : int array;
+  mutable var_stamp : int array;
   mutable ok : bool;
   mutable last_core : int list;
   mutable last_failed : int list;
@@ -205,8 +214,12 @@ let create () =
     heap = Array.make 64 0;
     heap_size = 0;
     heap_pos = Array.make 64 (-1);
+    cid_tag = Array.make 64 derived;
     cid_info = Hashtbl.create 1024;
     next_cid = 0;
+    refute_stamp = 0;
+    cid_stamp = Array.make 64 0;
+    var_stamp = Array.make 64 0;
     ok = true;
     last_core = [];
     last_failed = [];
@@ -337,6 +350,7 @@ let grow_arrays t n =
     t.level <- grow t.level (-1);
     t.reason <- grow t.reason (-1);
     t.seen <- grow t.seen 0;
+    t.var_stamp <- grow t.var_stamp 0;
     t.trail <- grow t.trail 0;
     t.heap <- grow t.heap 0;
     t.heap_pos <- grow t.heap_pos (-1);
@@ -409,6 +423,8 @@ let alloc_clause t ~learnt ~cid ~lbd n =
   Array.blit t.lits_buf 0 a (cr + hdr) n;
   t.arena_top <- top;
   t.clause_act <- reserve t.clause_act (cid + 1) (Array.length t.clause_act) 0.0;
+  t.cid_tag <- reserve t.cid_tag (cid + 1) (Array.length t.cid_tag) derived;
+  t.cid_stamp <- reserve t.cid_stamp (cid + 1) (Array.length t.cid_stamp) 0;
   cr
 
 let[@inline] clause_size t cr = t.arena.(cr) lsr 2
@@ -732,8 +748,8 @@ let propagate t =
    root level) encountered on the way. *)
 let collect_refutation t seeds =
   t.core_tainted <- false;
-  let visited_cid = Hashtbl.create 251 in
-  let visited_var = Hashtbl.create 251 in
+  t.refute_stamp <- t.refute_stamp + 1;
+  let stamp = t.refute_stamp in
   let originals = ref [] in
   let failed = ref [] in
   let stack = ref seeds in
@@ -744,22 +760,24 @@ let collect_refutation t seeds =
     | s :: rest ->
       stack := rest;
       if s >= 0 then begin
-        if not (Hashtbl.mem visited_cid s) then begin
-          Hashtbl.add visited_cid s ();
-          match Hashtbl.find_opt t.cid_info s with
-          | Some (Original _) | None -> originals := s :: !originals
-          | Some Imported ->
-            (* No local derivation: the core under-approximates the original
-               clauses actually needed.  Flag it so consumers that require an
-               exact core ({!core_complete}) can degrade conservatively. *)
-            t.core_tainted <- true
-          | Some (Learnt_from premises) -> Array.iter push premises
+        if t.cid_stamp.(s) <> stamp then begin
+          t.cid_stamp.(s) <- stamp;
+          if t.cid_tag.(s) <> derived then originals := s :: !originals
+          else
+            match Hashtbl.find t.cid_info s with
+            | Imported ->
+              (* No local derivation: the core under-approximates the
+                 original clauses actually needed.  Flag it so consumers
+                 that require an exact core ({!core_complete}) can degrade
+                 conservatively. *)
+              t.core_tainted <- true
+            | Learnt_from premises -> Array.iter push premises
         end
       end
       else begin
         let v = -s - 1 in
-        if not (Hashtbl.mem visited_var v) then begin
-          Hashtbl.add visited_var v ();
+        if t.var_stamp.(v) <> stamp then begin
+          t.var_stamp.(v) <- stamp;
           let r = t.reason.(v) in
           if r >= 0 then begin
             push t.arena.(r + 1);
@@ -1052,8 +1070,8 @@ let add_clause ?(tag = -1) t lits =
     if n >= 0 then begin
       let cid = t.next_cid in
       t.next_cid <- cid + 1;
-      Hashtbl.replace t.cid_info cid (Original tag);
       let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 n in
+      t.cid_tag.(cid) <- max tag (-1);
       t.clauses <- push_int t.clauses t.n_clauses cr;
       t.n_clauses <- t.n_clauses + 1;
       install_clause t cr
@@ -1435,15 +1453,10 @@ let value t l =
 let unsat_core t = t.last_core
 
 let unsat_core_tags t =
-  let tags =
-    List.filter_map
-      (fun cid ->
-        match Hashtbl.find_opt t.cid_info cid with
-        | Some (Original tag) when tag >= 0 -> Some tag
-        | Some (Original _) | Some (Learnt_from _) | Some Imported | None -> None)
-      t.last_core
-  in
-  List.sort_uniq compare tags
+  List.sort_uniq compare
+    (List.filter_map
+       (fun cid -> if t.cid_tag.(cid) >= 0 then Some t.cid_tag.(cid) else None)
+       t.last_core)
 
 let failed_assumptions t = t.last_failed
 

@@ -62,20 +62,26 @@ type entry = {
 
 (* {2 JSON writing} *)
 
+(* Runs of bytes that need no escaping are copied whole. *)
 let add_jstring b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring b s !run (i - !run);
+      Buffer.add_string b
+        (match c with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c));
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring b s !run (String.length s - !run);
   Buffer.add_char b '"'
 
 let add_field b ~first name f =
@@ -177,36 +183,33 @@ let trace_to_json (t : Bmc.Trace.t) b =
 
 (* DRAT artifacts travel as DIMACS text: one clause/cube per line terminated
    by 0, deletions prefixed with "d " — compact and trivially stable. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_dimacs_clause b c =
+  List.iter
+    (fun l ->
+      let d = Satsolver.Lit.to_dimacs l in
+      if d < 0 then Buffer.add_char b '-';
+      add_digits b (abs d);
+      Buffer.add_char b ' ')
+    c;
+  Buffer.add_string b "0\n"
+
 let dimacs_of_clauses clauses =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun l ->
-          Buffer.add_string b (string_of_int (Satsolver.Lit.to_dimacs l));
-          Buffer.add_char b ' ')
-        c;
-      Buffer.add_string b "0\n")
-    clauses;
+  List.iter (add_dimacs_clause b) clauses;
   Buffer.contents b
 
 let dimacs_of_proof proof =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (step : Cert.Drat.step) ->
-      let c =
-        match step with
-        | Cert.Drat.Padd c -> c
-        | Cert.Drat.Pdel c ->
-          Buffer.add_string b "d ";
-          c
-      in
-      List.iter
-        (fun l ->
-          Buffer.add_string b (string_of_int (Satsolver.Lit.to_dimacs l));
-          Buffer.add_char b ' ')
-        c;
-      Buffer.add_string b "0\n")
+    (function
+      | Cert.Drat.Padd c -> add_dimacs_clause b c
+      | Cert.Drat.Pdel c ->
+        Buffer.add_string b "d ";
+        add_dimacs_clause b c)
     proof;
   Buffer.contents b
 
@@ -269,7 +272,15 @@ let cubes_of_dimacs s =
 
 (* {2 Entry rendering} *)
 
-let entry_to_json e =
+(* A payload as written: DRAT evidence as its DIMACS texts, rendered once
+   so that the payload limit is checked against the bytes that are
+   stored. *)
+type rendered =
+  | Render_none
+  | Render_trace of Bmc.Trace.t
+  | Render_drat of { num_vars : int; cnf : string; proof : string; obligations : string }
+
+let entry_to_json e payload =
   let b = Buffer.create 1024 in
   Buffer.add_char b '{';
   add_field b ~first:true "version" (jint 1);
@@ -293,21 +304,19 @@ let entry_to_json e =
   add_field b ~first:false "model_latches" (jint e.e_model_latches);
   add_field b ~first:false "cert" (jstr e.e_cert);
   add_field b ~first:false "created" (jfloat e.e_created);
-  (match e.e_payload with
-  | No_payload -> add_field b ~first:false "payload" (jstr "none")
-  | Trace_payload t ->
+  (match payload with
+  | Render_none -> add_field b ~first:false "payload" (jstr "none")
+  | Render_trace t ->
     add_field b ~first:false "payload" (jstr "trace");
     add_field b ~first:false "trace" (trace_to_json t)
-  | Drat_payload a ->
+  | Render_drat { num_vars; cnf; proof; obligations } ->
     add_field b ~first:false "payload" (jstr "drat");
     add_field b ~first:false "drat" (fun b ->
         Buffer.add_char b '{';
-        add_field b ~first:true "num_vars" (jint a.Bmc.Engine.ca_num_vars);
-        add_field b ~first:false "cnf"
-          (jstr (dimacs_of_clauses a.Bmc.Engine.ca_original));
-        add_field b ~first:false "proof" (jstr (dimacs_of_proof a.Bmc.Engine.ca_proof));
-        add_field b ~first:false "obligations"
-          (jstr (dimacs_of_clauses a.Bmc.Engine.ca_obligations));
+        add_field b ~first:true "num_vars" (jint num_vars);
+        add_field b ~first:false "cnf" (jstr cnf);
+        add_field b ~first:false "proof" (jstr proof);
+        add_field b ~first:false "obligations" (jstr obligations);
         Buffer.add_char b '}'));
   Buffer.add_char b '}';
   Buffer.contents b
@@ -480,18 +489,28 @@ let store cfg key entry =
   Obs.span "cache.store" (fun () ->
       try
         ensure_dir cfg.dir;
-        let entry =
+        let payload =
           match entry.e_payload with
-          | Drat_payload a
-            when String.length (dimacs_of_proof a.Bmc.Engine.ca_proof)
-                 + String.length (dimacs_of_clauses a.Bmc.Engine.ca_original)
-                 > cfg.payload_limit_bytes ->
-            Obs.counter_add "vcache.payloads_dropped" 1;
-            { entry with e_payload = No_payload }
-          | _ -> entry
+          | No_payload -> Render_none
+          | Trace_payload t -> Render_trace t
+          | Drat_payload a ->
+            let cnf = dimacs_of_clauses a.Bmc.Engine.ca_original in
+            let proof = dimacs_of_proof a.Bmc.Engine.ca_proof in
+            if String.length cnf + String.length proof > cfg.payload_limit_bytes then begin
+              Obs.counter_add "vcache.payloads_dropped" 1;
+              Render_none
+            end
+            else
+              Render_drat
+                {
+                  num_vars = a.Bmc.Engine.ca_num_vars;
+                  cnf;
+                  proof;
+                  obligations = dimacs_of_clauses a.Bmc.Engine.ca_obligations;
+                }
         in
-        let body = entry_to_json entry in
-        let data = magic ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body in
+        let body = entry_to_json entry payload in
+        let header = magic ^ Digest.to_hex (Digest.string body) ^ "\n" in
         incr tmp_counter;
         let tmp =
           Filename.concat cfg.dir
@@ -500,12 +519,14 @@ let store cfg key entry =
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc data);
+          (fun () ->
+            output_string oc header;
+            output_string oc body);
         (* Atomic within one directory: concurrent writers of the same key
            race benignly, the survivor is one complete entry. *)
         Sys.rename tmp (entry_path cfg key);
         Obs.counter_add "vcache.stores" 1;
-        Obs.counter_add "vcache.bytes_written" (String.length data)
+        Obs.counter_add "vcache.bytes_written" (String.length header + String.length body)
       with _ -> Obs.counter_add "vcache.store_errors" 1)
 
 let parse_data data =

@@ -31,7 +31,7 @@ let hand_core =
 
 let test_hand_core_proof () =
   let outcome =
-    Cert.Drat.check ~num_vars:3 ~original:hand_core
+    Cert.Drat.check ~original:hand_core
       ~proof:[ Cert.Drat.Padd [ lit 0 true ] ]
       ~obligations:[ [] ] ()
   in
@@ -44,7 +44,7 @@ let test_hand_core_proof () =
    refute the cube: (~a|b)(~b|c) with assumptions a, ~c. *)
 let test_assumption_obligation () =
   let outcome =
-    Cert.Drat.check ~num_vars:3
+    Cert.Drat.check
       ~original:[ [ lit 0 false; lit 1 true ]; [ lit 1 false; lit 2 true ] ]
       ~proof:[]
       ~obligations:[ [ lit 0 true; lit 2 false ] ]
@@ -56,7 +56,7 @@ let test_assumption_obligation () =
 let test_unrefutable_obligation_rejected () =
   (* (a|b) refutes nothing by unit propagation. *)
   let outcome =
-    Cert.Drat.check ~num_vars:2
+    Cert.Drat.check
       ~original:[ [ lit 0 true; lit 1 true ] ]
       ~proof:[] ~obligations:[ [] ] ()
   in
@@ -66,7 +66,7 @@ let test_unrefutable_obligation_rejected () =
    removes implications, so the retry is sound and must succeed. *)
 let test_deleted_lemma_revived () =
   let outcome =
-    Cert.Drat.check ~num_vars:3 ~original:hand_core
+    Cert.Drat.check ~original:hand_core
       ~proof:[ Cert.Drat.Padd [ lit 0 true ]; Cert.Drat.Pdel [ lit 0 true ] ]
       ~obligations:[ [] ] ()
   in
@@ -75,7 +75,7 @@ let test_deleted_lemma_revived () =
 
 let test_delete_of_absent_clause_rejected () =
   let outcome =
-    Cert.Drat.check ~num_vars:3 ~original:hand_core
+    Cert.Drat.check ~original:hand_core
       ~proof:[ Cert.Drat.Pdel [ lit 1 true; lit 2 true ] ]
       ~obligations:[ [] ] ()
   in
@@ -115,9 +115,9 @@ let logged_refutation clauses =
 
 let test_solver_proof_certifies () =
   let clauses = pigeonhole_clauses 4 in
-  let nv, proof = logged_refutation clauses in
+  let _, proof = logged_refutation clauses in
   let outcome =
-    Cert.Drat.check ~num_vars:nv ~original:clauses ~proof ~obligations:[ [] ] ()
+    Cert.Drat.check ~original:clauses ~proof ~obligations:[ [] ] ()
   in
   let r = report outcome in
   Alcotest.(check bool) "solver logged real work" true (r.Cert.Drat.lemmas > 0);
@@ -145,7 +145,7 @@ let test_mutated_proof_rejected () =
   List.iter
     (fun k ->
       let outcome =
-        Cert.Drat.check ~every_lemma:true ~num_vars:(nv + 1) ~original:clauses
+        Cert.Drat.check ~every_lemma:true ~original:clauses
           ~proof:(corrupted_at k) ~obligations:[ [] ] ()
       in
       Alcotest.(check bool)
@@ -173,11 +173,196 @@ let test_assumption_obligations_across_solves () =
     [ [ lit 0 true ]; [ lit 1 true ]; [ lit 1 true; lit 2 false ] ];
   Alcotest.(check bool) "at least one unsat query" true (!obligations <> []);
   let outcome =
-    Cert.Drat.check ~num_vars:(Solver.num_vars s)
+    Cert.Drat.check
       ~original:(Solver.export_clauses s) ~proof:(Solver.proof s)
       ~obligations:(List.rev !obligations) ()
   in
   Alcotest.(check bool) "all recorded obligations certify" true (valid outcome)
+
+(* {2 Differential: the checker against a naive reference}
+
+   The reference keeps clauses in a list with alive flags and propagates by
+   rescanning every clause until nothing changes: no watches, no index.  It
+   runs the procedure of [Cert.Drat.check ~every_lemma:true] — forward
+   replay honouring deletions, end-state obligations with one revival
+   retry, then every lemma RUP against the clauses alive before it, walking
+   backward — so the two must return the same Valid/Invalid. *)
+module Reference = struct
+  type cls = { lits : Lit.t list; mutable alive : bool }
+
+  (* Propagation to fixpoint from [assumed]: does it reach a conflict? *)
+  let refutes db assumed =
+    let value = Hashtbl.create 16 in
+    let truth l = Option.map (fun b -> b = Lit.sign l) (Hashtbl.find_opt value (Lit.var l)) in
+    let conflict = ref false and changed = ref true in
+    let set l =
+      match truth l with
+      | Some b -> if not b then conflict := true
+      | None ->
+        Hashtbl.replace value (Lit.var l) (Lit.sign l);
+        changed := true
+    in
+    List.iter set assumed;
+    while !changed && not !conflict do
+      changed := false;
+      List.iter
+        (fun c ->
+          if c.alive && not (!conflict || List.exists (fun l -> truth l = Some true) c.lits)
+          then
+            match List.filter (fun l -> truth l = None) c.lits with
+            | [] -> conflict := true
+            | [ l ] -> set l
+            | _ -> ())
+        !db
+    done;
+    !conflict
+
+  let check ~original ~proof ~obligations =
+    let norm = List.sort_uniq compare in
+    let db = ref [] in
+    let add lits =
+      let c = { lits = norm lits; alive = true } in
+      db := !db @ [ c ];
+      c
+    in
+    List.iter (fun c -> ignore (add c)) original;
+    let step acc = function
+      | Cert.Drat.Padd lits -> `Add (add lits) :: acc
+      | Cert.Drat.Pdel lits -> (
+        match List.find_opt (fun c -> c.alive && c.lits = norm lits) !db with
+        | Some c ->
+          c.alive <- false;
+          `Del c :: acc
+        | None -> raise Exit)
+    in
+    match List.fold_left step [] proof with
+    | exception Exit -> false
+    | backward ->
+      let revive () = List.iter (function `Del c -> c.alive <- true | `Add _ -> ()) backward in
+      List.for_all (fun a -> refutes db a || (revive (); refutes db a)) obligations
+      && List.for_all
+           (function
+             | `Del c -> c.alive <- true; true
+             | `Add c -> c.alive <- false; refutes db (List.map Lit.negate c.lits))
+           backward
+end
+
+type mutation =
+  | Intact
+  | Deletions_at_end  (** present clauses deleted after the last lemma *)
+  | Literal_dropped
+  | Lemma_replaced
+  | Absent_deleted
+  | Present_deleted  (** a clause deleted at a random point of the proof *)
+  | Obligation_literal_dropped
+
+let mutations =
+  [|
+    Intact;
+    Deletions_at_end;
+    Literal_dropped;
+    Lemma_replaced;
+    Absent_deleted;
+    Present_deleted;
+    Obligation_literal_dropped;
+  |]
+
+(* A random CNF (duplicate literals and tautologies included) solved with
+   proof logging under random assumption cubes; the UNSAT cubes are the
+   obligations.  Then one mutation of the proof or the obligations. *)
+let random_instance seed mutation =
+  let st = Random.State.make [| 0x51ed; seed |] in
+  let nvars = 15 + Random.State.int st 26 in
+  let rlit () = lit (Random.State.int st nvars) (Random.State.bool st) in
+  let rclause () = List.init (1 + Random.State.int st 3) (fun _ -> rlit ()) in
+  let original =
+    List.init ((4 * nvars) + Random.State.int st (nvars / 2)) (fun _ ->
+        List.init 3 (fun _ -> rlit ()))
+  in
+  let s = Solver.create () in
+  Solver.set_proof_logging s true;
+  Solver.ensure_vars s nvars;
+  List.iter (Solver.add_clause s) original;
+  let obligations =
+    List.filter
+      (fun cube -> Solver.solve ~assumptions:cube s = Solver.Unsat)
+      (List.init 4 (fun _ -> List.init (Random.State.int st 4) (fun _ -> rlit ())))
+  in
+  let proof = Array.of_list (Solver.proof s) in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let lemma_positions =
+    Array.of_list
+      (List.filter_map
+         (fun i -> match proof.(i) with Cert.Drat.Padd _ -> Some i | Cert.Drat.Pdel _ -> None)
+         (List.init (Array.length proof) Fun.id))
+  in
+  (* A lemma added before step [i] (an original clause when there is
+     none), its literals reversed. *)
+  let present_before i =
+    let lemmas =
+      List.filter_map
+        (function Cert.Drat.Padd c -> Some c | Cert.Drat.Pdel _ -> None)
+        (Array.to_list (Array.sub proof 0 i))
+    in
+    List.rev (pick (Array.of_list (if lemmas = [] then original else lemmas)))
+  in
+  let insert i step =
+    Array.to_list (Array.sub proof 0 i)
+    @ (step :: Array.to_list (Array.sub proof i (Array.length proof - i)))
+  in
+  let drop_one = function
+    | [] -> []
+    | l -> List.filteri (fun i _ -> i <> Random.State.int st (List.length l)) l
+  in
+  let with_lemma f =
+    if Array.length lemma_positions = 0 then Array.to_list proof
+    else begin
+      let i = pick lemma_positions in
+      let p = Array.copy proof in
+      (match p.(i) with Cert.Drat.Padd c -> p.(i) <- Cert.Drat.Padd (f c) | Cert.Drat.Pdel _ -> ());
+      Array.to_list p
+    end
+  in
+  let proof' =
+    match mutation with
+    | Intact | Obligation_literal_dropped -> Array.to_list proof
+    | Deletions_at_end ->
+      (* Distinct clauses, so each deletion has a copy of its own. *)
+      let pool = Array.of_list (original @ Solver.proof_log s) in
+      let picked =
+        List.sort_uniq compare
+          (List.init 3 (fun _ -> Random.State.int st (Array.length pool)))
+      in
+      Array.to_list proof @ List.map (fun k -> Cert.Drat.Pdel (List.rev pool.(k))) picked
+    | Literal_dropped -> with_lemma drop_one
+    | Lemma_replaced -> with_lemma (fun _ -> rclause ())
+    | Absent_deleted ->
+      insert (Random.State.int st (Array.length proof + 1)) (Cert.Drat.Pdel (rclause ()))
+    | Present_deleted ->
+      let i = Random.State.int st (Array.length proof + 1) in
+      insert i (Cert.Drat.Pdel (present_before i))
+  in
+  let obligations' =
+    match (mutation, obligations) with
+    | Obligation_literal_dropped, _ :: _ ->
+      let k = Random.State.int st (List.length obligations) in
+      List.mapi (fun i c -> if i = k then drop_one c else c) obligations
+    | _ -> obligations
+  in
+  (original, proof', obligations')
+
+let prop_checker_matches_reference =
+  QCheck2.Test.make ~count:500 ~name:"checker agrees with a naive reference"
+    ~print:(fun (seed, m) -> Printf.sprintf "seed %d, mutation %d" seed m)
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound (Array.length mutations - 1)))
+    (fun (seed, m) ->
+      let mutation = mutations.(m) in
+      let original, proof, obligations = random_instance seed mutation in
+      let every = valid (Cert.Drat.check ~every_lemma:true ~original ~proof ~obligations ()) in
+      let cone = valid (Cert.Drat.check ~original ~proof ~obligations ()) in
+      every = Reference.check ~original ~proof ~obligations
+      && ((not every) || cone)
+      && match mutation with Intact | Deletions_at_end -> every && cone | _ -> true)
 
 (* {2 Textual DRAT output} *)
 
@@ -363,6 +548,7 @@ let () =
           Alcotest.test_case "obligations across incremental solves" `Quick
             test_assumption_obligations_across_solves;
           Alcotest.test_case "textual DRAT output" `Quick test_drat_output_format;
+          QCheck_alcotest.to_alcotest prop_checker_matches_reference;
         ] );
       ( "replay",
         [

@@ -207,21 +207,21 @@ let test_checker_validates_pigeonhole () =
   List.iter (Solver.add_clause s) clauses;
   Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
   Alcotest.(check bool) "refutation validates" true
-    (Checker.verify ~num_vars:nv ~original:clauses ~derivation:(Solver.proof_log s))
+    (Checker.verify ~original:clauses ~derivation:(Solver.proof_log s))
 
 let test_checker_rejects_bogus_derivation () =
   (* A clause that is not implied must fail the RUP check. *)
   let clauses = [ [ lit 0 true; lit 1 true ] ] in
   Alcotest.(check bool) "non-implied clause rejected" false
-    (Checker.clause_is_rup ~num_vars:2 clauses [ lit 0 true ]);
+    (Checker.clause_is_rup clauses [ lit 0 true ]);
   Alcotest.(check bool) "implied clause accepted" true
-    (Checker.clause_is_rup ~num_vars:2
+    (Checker.clause_is_rup
        [ [ lit 0 true ]; [ lit 0 false; lit 1 true ] ]
        [ lit 1 true ])
 
 let test_checker_rejects_sat_set () =
   Alcotest.(check bool) "satisfiable set does not verify" false
-    (Checker.verify ~num_vars:2 ~original:[ [ lit 0 true ] ] ~derivation:[])
+    (Checker.verify ~original:[ [ lit 0 true ] ] ~derivation:[])
 
 let prop_checker_validates_random_unsat =
   let gen =
@@ -239,7 +239,7 @@ let prop_checker_validates_random_unsat =
       match Solver.solve s with
       | Solver.Sat -> true
       | Solver.Unsat ->
-        Checker.verify ~num_vars:7 ~original:clauses ~derivation:(Solver.proof_log s))
+        Checker.verify ~original:clauses ~derivation:(Solver.proof_log s))
 
 (* Core re-verification: for known UNSAT instances, the extracted core —
    taken alone — must itself admit a solver refutation that passes the RUP
@@ -266,7 +266,7 @@ let core_reverifies clauses =
     List.iter (Solver.add_clause s2) core;
     Alcotest.(check bool) "core is unsat" true (Solver.solve s2 = Solver.Unsat);
     Alcotest.(check bool) "core refutation passes the checker" true
-      (Checker.verify ~num_vars:nv ~original:core ~derivation:(Solver.proof_log s2))
+      (Checker.verify ~original:core ~derivation:(Solver.proof_log s2))
 
 let test_known_unsat_cores_verify () =
   core_reverifies (pigeonhole_clauses 5 4);
@@ -467,7 +467,7 @@ let test_reduction_and_compaction () =
   Alcotest.(check bool) "deletions logged" true
     (List.exists (function Solver.Pdel _ -> true | Solver.Padd _ -> false) proof);
   (match
-     Cert.Drat.check ~num_vars:(num_vars + 1) ~original:(Solver.export_clauses s) ~proof
+     Cert.Drat.check ~original:(Solver.export_clauses s) ~proof
        ~obligations:[ [ a ] ] ()
    with
   | Cert.Drat.Valid _ -> ()

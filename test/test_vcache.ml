@@ -203,12 +203,10 @@ let test_pre_bump_entry_misses () =
   if o.Emmver.cache <> Emmver.Cache_miss then
     Alcotest.fail "pre-bump entry was served across the generation bump"
 
-let test_certified_hit_rechecks_drat () =
-  let dir = tmp_store "drat" in
-  Fun.protect ~finally:(fun () -> drop_store dir) @@ fun () ->
-  (* A provable design: a never-written zero memory reads zero.  The
-     toggling register gives the loop-free-path check state to close over,
-     so the proof lands by forward diameter. *)
+(* A provable design: a never-written zero memory reads zero.  The toggling
+   register gives the loop-free-path check state to close over, so the
+   proof lands by forward diameter. *)
+let provable_design () =
   let ctx = Hdl.create () in
   let mem = Hdl.memory ctx ~name:"m" ~addr_width:2 ~data_width:2 ~init:Netlist.Zeros in
   let ra = Hdl.input ctx "ra" ~width:2 in
@@ -216,7 +214,12 @@ let test_certified_hit_rechecks_drat () =
   let tick = Hdl.reg ctx "tick" ~width:1 in
   Hdl.connect ctx tick (Hdl.not_v tick);
   Hdl.assert_always ctx "p" (Hdl.eq_const ctx rd 0);
-  let net = Hdl.netlist ctx in
+  Hdl.netlist ctx
+
+let test_certified_hit_rechecks_drat () =
+  let dir = tmp_store "drat" in
+  Fun.protect ~finally:(fun () -> drop_store dir) @@ fun () ->
+  let net = provable_design () in
   let opts = options ~certify:true ~cache_dir:dir () in
   let cold = Emmver.verify ~options:opts ~method_:Emmver.Emm_bmc net ~property:"p" in
   (match cold.Emmver.certificate with
@@ -243,6 +246,56 @@ let test_certified_hit_rechecks_drat () =
   match o.Emmver.certificate with
   | Cert.Certified Cert.Drat_checked -> ()
   | c -> Alcotest.failf "re-solve not certified: %s" (Cert.label c)
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
+
+(* The stored variable count is a claim, not a size: the checker sizes its
+   arrays from the literals it is given.  A checksum-valid entry claiming
+   2^24 variables must re-check as cheaply as the honest one. *)
+let test_claimed_num_vars_is_not_trusted () =
+  let dir = tmp_store "numvars" in
+  Fun.protect ~finally:(fun () -> drop_store dir) @@ fun () ->
+  let net = provable_design () in
+  let opts = options ~certify:true ~cache_dir:dir () in
+  let _ = Emmver.verify ~options:opts ~method_:Emmver.Emm_bmc net ~property:"p" in
+  let key = Option.get (Emmver.cache_key opts ~method_:Emmver.Emm_bmc net ~property:"p") in
+  let path = Filename.concat dir (Vcache.Key.to_hex key ^ ".json") in
+  let data = read_bytes path in
+  let nl = String.index data '\n' in
+  let body = String.sub data (nl + 1) (String.length data - nl - 1) in
+  let field = {|"num_vars":|} in
+  let rec find i =
+    if i + String.length field > String.length body then
+      Alcotest.fail "stored entry has no DRAT payload"
+    else if String.sub body i (String.length field) = field then i + String.length field
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while body.[!stop] >= '0' && body.[!stop] <= '9' do incr stop done;
+  let body =
+    String.sub body 0 start ^ "16777216"
+    ^ String.sub body !stop (String.length body - !stop)
+  in
+  write_bytes path
+    ("EMMVER-VCACHE 1 " ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body);
+  let before = Gc.allocated_bytes () in
+  let warm = Emmver.verify ~options:opts ~method_:Emmver.Emm_bmc net ~property:"p" in
+  let allocated = Gc.allocated_bytes () -. before in
+  (if warm.Emmver.cache <> Emmver.Cache_hit then Alcotest.fail "expected a cache hit");
+  (match warm.Emmver.certificate with
+  | Cert.Certified Cert.Drat_checked -> ()
+  | c -> Alcotest.failf "hit not DRAT-checked: %s" (Cert.label c));
+  if allocated >= 50e6 then
+    Alcotest.failf "re-check allocated %.0f MB for a tiny proof" (allocated /. 1e6)
 
 (* A memory that latches any nonzero write and a property that a read can
    never return 3: falsifiable, so the cache entry carries a trace. *)
@@ -681,6 +734,126 @@ let test_verify_delta_classification () =
       Alcotest.fail "changed cone must be re-verified"
   | _ -> Alcotest.fail "expected one changed property"
 
+(* {2 On-disk format goldens}
+
+   Two entries with fixed timestamps, compared byte for byte with the
+   files the store writes: a certified proof with a small DRAT payload (a
+   deletion step, an empty and a non-empty obligation cube) and a
+   counterexample whose names need JSON escaping.  The DRAT entry is also
+   stored under a payload limit equal to its CNF plus proof text (kept)
+   and one byte short of it (dropped). *)
+
+let glit v s = Satsolver.Lit.of_var v s
+
+let golden_drat_entry =
+  {
+    Vcache.e_method = "emm";
+    e_verdict = Vcache.Proved { depth = 2; induction = true };
+    e_time_s = 1.5;
+    e_solve_time_s = 0.25;
+    e_model_vars = 3;
+    e_model_clauses = 4;
+    e_model_latches = 1;
+    e_cert = "drat-checked";
+    e_created = 1700000000.125;
+    e_payload =
+      Vcache.Drat_payload
+        {
+          Bmc.Engine.ca_num_vars = 3;
+          ca_original =
+            [
+              [ glit 0 true; glit 1 true ];
+              [ glit 0 true; glit 1 false ];
+              [ glit 0 false; glit 2 true ];
+              [ glit 0 false; glit 2 false ];
+            ];
+          ca_proof =
+            [
+              Cert.Drat.Padd [ glit 0 true ];
+              Cert.Drat.Pdel [ glit 0 true; glit 1 true ];
+              Cert.Drat.Padd [];
+            ];
+          ca_obligations = [ []; [ glit 2 false; glit 0 true ] ];
+        };
+  }
+
+(* The DIMACS text of the CNF and the proof above: the quantity the
+   payload limit is measured against. *)
+let golden_drat_payload_bytes =
+  String.length "1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n"
+  + String.length "1 0\nd 1 2 0\n0\n"
+
+let golden_trace_entry =
+  {
+    Vcache.e_method = "emm-falsify";
+    e_verdict = Vcache.Falsified { depth = 1 };
+    e_time_s = 0.0625;
+    e_solve_time_s = 0.03125;
+    e_model_vars = 42;
+    e_model_clauses = 97;
+    e_model_latches = 2;
+    e_cert = "trace-replayed";
+    e_created = 1700000001.5;
+    e_payload =
+      Vcache.Trace_payload
+        {
+          Bmc.Trace.property = "p \"quoted\" \\ tab\there";
+          depth = 1;
+          inputs =
+            [|
+              [ ("wa[0]", true); ("wd\n1", false) ];
+              [ ("wa[0]", false); ("ctl\001x", true) ];
+            |];
+          latch0 = [ ("cnt[1]", true) ];
+          mem_init = [ ("m", [ (0, 3); (2, 1) ]); ("empty", []) ];
+          watch =
+            [
+              {
+                Bmc.Trace.w_name = "m.r0.data[1]";
+                w_signal = Netlist.signal_of_node 17 true;
+                w_enable = Some (Netlist.signal_of_node 5 false);
+                w_values = [| true; false |];
+              };
+              {
+                Bmc.Trace.w_name = "m.w0.addr\r[0]";
+                w_signal = Netlist.signal_of_node 9 false;
+                w_enable = None;
+                w_values = [| false; true |];
+              };
+            ];
+        };
+  }
+
+let golden_drat = {|EMMVER-VCACHE 1 50c1ec64d07657407ca6fbe61d033f72
+{"version":1,"method":"emm","verdict":"proved","depth":2,"induction":true,"time_s":1.5,"solve_time_s":0.25,"model_vars":3,"model_clauses":4,"model_latches":1,"cert":"drat-checked","created":1700000000.125,"payload":"drat","drat":{"num_vars":3,"cnf":"1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n","proof":"1 0\nd 1 2 0\n0\n","obligations":"0\n-3 1 0\n"}}|}
+
+let golden_drat_dropped = {|EMMVER-VCACHE 1 767dbc56b43055d1e03882508f141490
+{"version":1,"method":"emm","verdict":"proved","depth":2,"induction":true,"time_s":1.5,"solve_time_s":0.25,"model_vars":3,"model_clauses":4,"model_latches":1,"cert":"drat-checked","created":1700000000.125,"payload":"none"}|}
+
+let golden_trace = {|EMMVER-VCACHE 1 5d7d3b0cfb898da2fcf8f995d46c3bda
+{"version":1,"method":"emm-falsify","verdict":"falsified","depth":1,"time_s":0.0625,"solve_time_s":0.03125,"model_vars":42,"model_clauses":97,"model_latches":2,"cert":"trace-replayed","created":1700000001.5,"payload":"trace","trace":{"property":"p \"quoted\" \\ tab\there","depth":1,"inputs":[[["wa[0]",true],["wd\n1",false]],[["wa[0]",false],["ctl\u0001x",true]]],"latch0":[["cnt[1]",true]],"mem_init":[["m",[[0,3],[2,1]]],["empty",[]]],"watch":[{"name":"m.r0.data[1]","signal":35,"enable":10,"values":"10"},{"name":"m.w0.addr\r[0]","signal":18,"enable":-1,"values":"01"}]}}|}
+
+let test_on_disk_goldens () =
+  let dir = tmp_store "golden" in
+  Fun.protect ~finally:(fun () -> drop_store dir) @@ fun () ->
+  let stored_as ?payload_limit_bytes name entry ~expect golden =
+    let cfg = Vcache.config ~dir ?payload_limit_bytes () in
+    let key = Vcache.Key.make ~cone:"golden" ~attrs:[ ("entry", name) ] in
+    Vcache.store cfg key entry;
+    Alcotest.(check string)
+      (name ^ ": bytes on disk") golden
+      (read_bytes (Filename.concat dir (Vcache.Key.to_hex key ^ ".json")));
+    Alcotest.(check bool) (name ^ ": loads back") true (Vcache.load cfg key = Some expect)
+  in
+  stored_as "drat" golden_drat_entry ~expect:golden_drat_entry golden_drat;
+  stored_as "trace" golden_trace_entry ~expect:golden_trace_entry golden_trace;
+  stored_as "drat-exact" golden_drat_entry ~expect:golden_drat_entry
+    ~payload_limit_bytes:golden_drat_payload_bytes golden_drat;
+  stored_as "drat-dropped" golden_drat_entry
+    ~expect:{ golden_drat_entry with Vcache.e_payload = Vcache.No_payload }
+    ~payload_limit_bytes:(golden_drat_payload_bytes - 1)
+    golden_drat_dropped
+
 let () =
   Alcotest.run "vcache"
     [
@@ -703,6 +876,10 @@ let () =
             test_pre_bump_entry_misses;
           Alcotest.test_case "certified hit re-checks the DRAT evidence" `Quick
             test_certified_hit_rechecks_drat;
+          Alcotest.test_case "claimed num_vars does not size the re-check" `Quick
+            test_claimed_num_vars_is_not_trusted;
+          Alcotest.test_case "on-disk bytes match the goldens" `Quick
+            test_on_disk_goldens;
           Alcotest.test_case "checksum tamper degrades to a miss" `Quick
             test_checksum_tamper_is_a_miss;
           Alcotest.test_case "forged trace is evicted and re-solved" `Quick
