@@ -573,83 +573,44 @@ let json_row ~design ~property ~method_ ~verdict ~time_s ~solve_time_s
     s.decisions s.propagations s.restarts s.learnt_clauses s.deleted_clauses
     s.minimised_lits s.avg_lbd s.shared_out s.shared_in
 
-(* {2 Baseline comparison (--baseline FILE)}
-
-   A hand-rolled reader for the BENCH_solver.json format written below: we
-   only need the (design, property, method) -> verdict map, and we wrote the
-   file ourselves, so substring scanning is enough. *)
-
-let find_sub s pat from =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some i
-    else go (i + 1)
-  in
-  go from
-
-let json_string_field chunk name =
-  let pat = Printf.sprintf "\"%s\": \"" name in
-  match find_sub chunk pat 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    String.index_from_opt chunk start '"'
-    |> Option.map (fun stop -> String.sub chunk start (stop - start))
-
-let json_float_field chunk name =
-  let pat = Printf.sprintf "\"%s\": " name in
-  match find_sub chunk pat 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    let stop = ref start in
-    let n = String.length chunk in
-    while
-      !stop < n
-      && (match chunk.[!stop] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.sub chunk start (!stop - start))
+(* {2 Baseline comparison (--baseline FILE)} *)
 
 let verdict_class v =
   if String.length v >= 6 && String.sub v 0 6 = "proved" then `Proved
   else if String.length v >= 9 && String.sub v 0 9 = "falsified" then `Falsified
   else `Inconclusive
 
-let baseline_verdicts file =
-  if not (Sys.file_exists file) then begin
-    Format.eprintf "baseline file %s does not exist@." file;
+(* A BENCH_solver.json file as parsed JSON; a missing or malformed file
+   ends the run (exit 2). *)
+let read_baseline file =
+  let fail why =
+    Format.eprintf "baseline file %s %s@." file why;
     exit 2
-  end;
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  (* Split the row array on the opening brace of each object. *)
-  let rec chunks from acc =
-    match String.index_from_opt s from '{' with
-    | None -> List.rev acc
-    | Some i ->
-      let stop =
-        match String.index_from_opt s (i + 1) '}' with
-        | Some j -> j
-        | None -> String.length s - 1
-      in
-      chunks (stop + 1) (String.sub s i (stop - i + 1) :: acc)
   in
-  List.filter_map
-    (fun chunk ->
-      match
-        ( json_string_field chunk "design",
-          json_string_field chunk "property",
-          json_string_field chunk "method",
-          json_string_field chunk "verdict" )
-      with
-      | Some d, Some p, Some m, Some v -> Some ((d, p, m), v)
-      | _ -> None)
-    (chunks 0 [])
+  if not (Sys.file_exists file) then fail "does not exist";
+  let ic = open_in_bin file in
+  let text =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  match Obs.Json.parse text with
+  | Ok json -> json
+  | Error why -> fail ("is not JSON: " ^ why)
+
+(* The (design, property, method) -> verdict map of the baseline's rows. *)
+let baseline_verdicts json =
+  let str name row =
+    match Obs.Json.member name row with Some (Obs.Json.Str s) -> Some s | _ -> None
+  in
+  match Obs.Json.member "rows" json with
+  | Some (Obs.Json.Arr rows) ->
+    List.filter_map
+      (fun row ->
+        match (str "design" row, str "property" row, str "method" row, str "verdict" row) with
+        | Some d, Some p, Some m, Some v -> Some ((d, p, m), v)
+        | _ -> None)
+      rows
+  | _ -> []
 
 (* Fail (exit 3) if any design/property/method row that was conclusive in
    the baseline file became inconclusive — the CI regression gate. *)
@@ -678,17 +639,21 @@ let check_against_baseline ~name ~old rows =
 
 (* The committed baseline's summed matrix CPU time, for the tracing-off
    overhead gate. *)
-let baseline_matrix_cpu_s file =
-  if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    json_float_field s "matrix_cpu_s"
-  end
+let baseline_matrix_cpu_s json =
+  match Option.bind (Obs.Json.member "parallel" json) (Obs.Json.member "matrix_cpu_s") with
+  | Some (Obs.Json.Num s) -> Some s
+  | _ -> None
 
 let baseline = ref None
+
+let find_sub s pat from =
+  let n = String.length s and m = String.length pat in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = pat then Some i
+    else go (i + 1)
+  in
+  go from
 
 (* With [--only d1,d2] every section is restricted to rows whose design
    name contains one of the given substrings — the verification matrix and
@@ -844,8 +809,8 @@ let cache_sweep () =
    over one connection.  The first round trip is the cold price (protocol +
    scheduling + fork + solve + cache record); the mean of the rest is the
    service-level price of an already-verified property, where the forked
-   worker answers from the warm store.  The emitted object carries no
-   "verdict" field, so the baseline reader skips it (timing-only telemetry,
+   worker answers from the warm store.  The emitted object goes under
+   "serve", which the baseline reader does not read (timing-only telemetry,
    like the "cache" rows above). *)
 let serve_sweep () =
   if not (matrix_selected "fifo") then []
@@ -959,8 +924,9 @@ let solver_json () =
   hr "solver-json: CDCL telemetry over the bench matrix -> BENCH_solver.json";
   (* Read the baseline before the run: it may be the very file we are about
      to overwrite. *)
-  let old = Option.map (fun f -> (f, baseline_verdicts f)) !baseline in
-  let old_cpu_s = Option.bind !baseline baseline_matrix_cpu_s in
+  let baseline_json = Option.map (fun f -> (f, read_baseline f)) !baseline in
+  let old = Option.map (fun (f, json) -> (f, baseline_verdicts json)) baseline_json in
+  let old_cpu_s = Option.bind baseline_json (fun (_, json) -> baseline_matrix_cpu_s json) in
   let solver_matrix =
     List.filter (fun (d, _, _, _) -> matrix_selected d) solver_matrix
   in
@@ -1102,9 +1068,9 @@ let solver_json () =
   output_string oc "\n  ],\n";
   (* Fan-out telemetry for the verification matrix above (the raw-SAT rows,
      when selected, run sequentially): wall vs. summed per-row time is the
-     measured speedup of this run.  The baseline reader skips this object — it has no
-     "design" field; the same goes for the per-combination "domains" entries
-     of the in-process portfolio sweep. *)
+     measured speedup of this run.  The baseline reader takes only
+     "matrix_cpu_s" from this object; the per-combination "domains" entries
+     of the in-process portfolio sweep are not verdict rows. *)
   output_string oc
     (Printf.sprintf
        "  \"parallel\": {\"jobs\": %d, \"matrix_wall_s\": %.3f, \"matrix_cpu_s\": %.3f, \"host_cores\": %d"
@@ -1116,16 +1082,15 @@ let solver_json () =
     output_string oc ",\n  \"domains\": [\n";
     output_string oc (String.concat ",\n" rows);
     output_string oc "\n  ]}");
-  (* Cold-vs-warm result-cache telemetry; like the sweep entries, these
-     objects carry no "verdict" field so the baseline reader skips them. *)
+  (* Cold-vs-warm result-cache telemetry; like the sweep entries, these are
+     not verdict rows, which the baseline reader takes from "rows" only. *)
   (match cache_rows with
   | [] -> ()
   | rows ->
     output_string oc ",\n  \"cache\": [\n";
     output_string oc (String.concat ",\n" rows);
     output_string oc "\n  ]");
-  (* Daemon round-trip telemetry — also verdict-free, also skipped by the
-     baseline reader. *)
+  (* Daemon round-trip telemetry — also not verdict rows. *)
   (match serve_rows with
   | [] -> ()
   | rows ->

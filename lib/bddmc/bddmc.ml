@@ -13,7 +13,7 @@ type result = {
 let check ?(max_nodes = 2_000_000) ?(max_steps = 10_000) net ~property =
   if Netlist.memories net <> [] then
     invalid_arg "Bddmc.check: netlist has memory modules; expand them first";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let m = Bdd.man ~max_nodes () in
   let latches = Array.of_list (Netlist.latches net) in
   let nl = Array.length latches in
@@ -54,7 +54,7 @@ let check ?(max_nodes = 2_000_000) ?(max_steps = 10_000) net ~property =
       verdict;
       peak_nodes = Bdd.live_nodes m;
       reachable_size = Bdd.size reachable;
-      time = Unix.gettimeofday () -. t0;
+      time = Obs.now () -. t0;
     }
   in
   try

@@ -20,7 +20,7 @@ type result = {
   verdict : verdict;
   peak_nodes : int;
   reachable_size : int;  (** BDD nodes of the final reachable-set *)
-  time : float;
+  time : float;  (** seconds spent in {!check}, on the {!Obs.now} clock *)
 }
 
 val check :

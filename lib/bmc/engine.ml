@@ -12,20 +12,16 @@ type verdict =
   | Out_of_budget of { depth : int; what : string }
 
 type stats = {
-  depths_completed : int;
   solve_time : float;
   encode_time : float;
-  cert_time_s : float;
   proof_steps : int;
   num_vars : int;
   num_clauses : int;
-  num_conflicts : int;
   vars_saved : int;
   clauses_saved : int;
   peak_memory_mb : float;
   latch_reasons : Netlist.signal list;
   memory_reasons : int list;
-  reasons_last_changed : int;
   solver_stats : Solver.stats;
 }
 
@@ -155,17 +151,15 @@ let no_hooks =
     mem_distinct = None;
   }
 
-(* Mutable run state threaded through one [check] call. *)
+(* Mutable run state threaded through one [check_all] call, shared by all of
+   its properties. *)
 type run = {
   cfg : config;
   hks : hooks;
   net : Netlist.t;
   solver : Solver.t;
   unr : Cnf.t;
-  prop : Netlist.signal;
-  prop_name : string;
   act_lfp : Lit.t;
-  act_cp : Lit.t;
   state_latches : Netlist.signal list;
   reasons : (Netlist.signal, unit) Hashtbl.t;
   mem_reasons : (int, unit) Hashtbl.t;
@@ -243,18 +237,21 @@ let add_lfp_pairs run i =
       Cnf.add_clause unr (Lit.negate run.act_lfp :: diffs))
     (List.init i Fun.id)
 
-let collect_reasons_from_core run =
+(* Add the latches and memories of the last refutation's core to the reason
+   sets, noting depth [i] when either set grows. *)
+let collect_reasons_from_core run i =
+  let size () = Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons in
+  let before = size () in
   List.iter
     (fun tag ->
       match Cnf.meaning_of run.unr tag with
-      | Some (Cnf.Tag.Latch l) ->
-        if not (Hashtbl.mem run.reasons l) then Hashtbl.replace run.reasons l ()
-      | Some (Cnf.Tag.Memory id) ->
-        if not (Hashtbl.mem run.mem_reasons id) then Hashtbl.replace run.mem_reasons id ()
+      | Some (Cnf.Tag.Latch l) -> Hashtbl.replace run.reasons l ()
+      | Some (Cnf.Tag.Memory id) -> Hashtbl.replace run.mem_reasons id ()
       | Some (Cnf.Tag.Misc _) | None -> ())
-    (Solver.unsat_core_tags (answer_solver run))
+    (Solver.unsat_core_tags (answer_solver run));
+  if size () <> before then run.reasons_last_changed <- i
 
-let extract_trace run depth =
+let extract_trace run ~property depth =
   let unr = run.unr in
   let solver = run.solver in
   let inputs =
@@ -298,7 +295,7 @@ let extract_trace run depth =
         else None)
       run.watches
   in
-  { Trace.property = run.prop_name; depth; inputs; latch0; mem_init; watch }
+  { Trace.property; depth; inputs; latch0; mem_init; watch }
 
 (* A finished solver's original clauses and DRAT derivation, each exported
    at most once and shared by the checker, the proof file, the step count
@@ -356,23 +353,33 @@ let dump_proof run ev =
       (fun () -> Cert.Drat.output oc (Lazy.force ev.ev_proof))
   | Some _ | None -> ()
 
-(* The certificate for a finished run: UNSAT verdicts (proofs, and bounded /
-   stability results whose every depth answered UNSAT) go through the DRAT
-   checker; counterexamples are replayed on the concrete design. *)
-let certify_verdict run ev verdict =
-  if not run.cfg.certify then Cert.Unchecked "certification disabled"
+(* The certifier of a finished run's verdicts: UNSAT-backed verdicts (proofs,
+   and bounded / stability results whose every depth answered UNSAT) share
+   one DRAT check of every obligation the run recorded; counterexamples are
+   replayed on the concrete design. *)
+let certifier run ev =
+  if not run.cfg.certify then fun _ -> Cert.Unchecked "certification disabled"
   else begin
     dump_proof run ev;
-    match verdict with
-    | Proof _ | Bounded_safe _ | Reasons_stable _ -> certify_unsat run ev
+    let unsat = lazy (certify_unsat run ev) in
+    function
+    | Proof _ | Bounded_safe _ | Reasons_stable _ -> Lazy.force unsat
     | Counterexample t -> Trace.certify run.net t
     | Timed_out _ -> Cert.Unchecked "timed out"
     | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what)
   end
 
-exception Done of verdict
+(* Per-property state: the CP activation literal and, once decided, the
+   verdict.  A property is retired as soon as a counterexample or a proof
+   lands. *)
+type prop_state = {
+  ps_name : string;
+  ps_signal : Netlist.signal;
+  ps_act_cp : Lit.t;
+  mutable ps_verdict : verdict option;
+}
 
-let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
+let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let solver = Solver.create () in
   let portfolio = make_portfolio config solver in
   Solver.set_deadline solver config.deadline;
@@ -380,6 +387,20 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
   Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
   if config.certify then Solver.set_proof_logging solver true;
   let unr = make_unroller config solver net in
+  (* Allocation order fixes the variable numbering, and with it the search:
+     the CP literals, then [act_lfp], then [act_init]. *)
+  let props =
+    List.map
+      (fun name ->
+        let ps_act_cp = Cnf.fresh_lit unr in
+        {
+          ps_name = name;
+          ps_signal = Netlist.find_property net name;
+          ps_act_cp;
+          ps_verdict = None;
+        })
+      properties
+  in
   let run =
     {
       cfg = config;
@@ -387,10 +408,7 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
       net;
       solver;
       unr;
-      prop = Netlist.find_property net property;
-      prop_name = property;
       act_lfp = Cnf.fresh_lit unr;
-      act_cp = Cnf.fresh_lit unr;
       state_latches =
         List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
       reasons = Hashtbl.create 64;
@@ -425,73 +443,92 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
      drop the downward implications of its cone.  The proof checks also use
      it positively (CP clauses). *)
   let prop_pol = if config.proof_checks then Cnf.Both else Cnf.Neg in
+  let decide v p = p.ps_verdict <- Some v in
+  (* One depth of BMC-1 (Fig. 1) over the undecided properties [pending]. *)
+  let depth i pending =
+    let lits =
+      timed_encode run (fun () ->
+          hooks.on_unroll unr i;
+          (* Watched memory-interface bits must be encoded with full
+             polarity: a polarity-reduced auxiliary variable's model value is
+             not faithful to the circuit, which would produce spurious replay
+             mismatches. *)
+          List.iter (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:i s)) run.watches;
+          let lits =
+            List.map (fun p -> (p, Cnf.lit ~pol:prop_pol unr ~frame:i p.ps_signal)) pending
+          in
+          (* Loop-free-path constraints only serve the termination checks. *)
+          if proof_checks_at i then add_lfp_pairs run i;
+          lits)
+    in
+    if proof_checks_at i then begin
+      (* Forward termination: no loop-free path of length i from I; this
+         settles every pending property at once. *)
+      if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat then
+        List.iter (decide (Proof { depth = i; kind = Forward_diameter })) pending
+      else
+        (* Backward termination: property inductive at depth i. *)
+        List.iter
+          (fun (p, p_i) ->
+            if
+              timed_solve ~what:"induction" run [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
+              = Solver.Unsat
+            then decide (Proof { depth = i; kind = Backward_induction }) p)
+          lits
+    end;
+    (* Falsification: counterexample of length exactly i. *)
+    List.iter
+      (fun (p, p_i) ->
+        if p.ps_verdict = None then
+          match timed_solve run [ act_init; Lit.negate p_i ] with
+          | Solver.Sat ->
+            decide (Counterexample (extract_trace run ~property:p.ps_name i)) p
+          | Solver.Unsat -> if config.collect_reasons then collect_reasons_from_core run i)
+      lits;
+    (* CP_{i+1} = CP_i /\ P_i — only the proof checks assume [ps_act_cp], so
+       in pure falsification mode the clause is dead weight. *)
+    if config.proof_checks then
+      List.iter
+        (fun (p, p_i) ->
+          if p.ps_verdict = None then Cnf.add_clause unr [ Lit.negate p.ps_act_cp; p_i ])
+        lits
+  in
   let deadline_passed () =
     match config.deadline with
     | Some d -> Obs.now () > d
     | None -> false
   in
+  (* Run depths from [i] on; the result is the verdict of every property
+     still undecided when the run stops. *)
   let completed = ref (-1) in
-  let verdict =
-    try
-      for i = 0 to config.max_depth do
-        if deadline_passed () then raise (Done (Timed_out !completed));
-        Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () ->
-        let p_i =
-          timed_encode run (fun () ->
-              hooks.on_unroll unr i;
-              (* Watched memory-interface bits must be encoded with full
-                 polarity: a polarity-reduced auxiliary variable's model
-                 value is not faithful to the circuit, which would produce
-                 spurious replay mismatches. *)
-              List.iter
-                (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:i s))
-                run.watches;
-              let p_i = Cnf.lit ~pol:prop_pol unr ~frame:i run.prop in
-              (* Loop-free-path constraints only serve the termination
-                 checks. *)
-              if proof_checks_at i then add_lfp_pairs run i;
-              p_i)
-        in
-        if proof_checks_at i then begin
-          (* Forward termination: no loop-free path of length i from I. *)
-          if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat then
-            raise (Done (Proof { depth = i; kind = Forward_diameter }));
-          (* Backward termination: property inductive at depth i. *)
-          if
-            timed_solve ~what:"induction" run
-              [ run.act_lfp; run.act_cp; Lit.negate p_i ]
-            = Solver.Unsat
-          then raise (Done (Proof { depth = i; kind = Backward_induction }))
-        end;
-        (* Falsification: counterexample of length exactly i. *)
-        (match timed_solve run [ act_init; Lit.negate p_i ] with
-        | Solver.Sat -> raise (Done (Counterexample (extract_trace run i)))
-        | Solver.Unsat ->
-          if config.collect_reasons then begin
-            let before = Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons in
-            collect_reasons_from_core run;
-            if Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons <> before
-            then run.reasons_last_changed <- i
-          end);
-        completed := i;
-        (* CP_{i+1} = CP_i /\ P_i — only the proof checks assume [act_cp],
-           so in pure falsification mode the clause is dead weight. *)
-        if config.proof_checks then Cnf.add_clause unr [ Lit.negate run.act_cp; p_i ];
-        match config.stop_on_stable with
-        | Some s when config.collect_reasons && i - run.reasons_last_changed >= s ->
-          raise (Done (Reasons_stable i))
-        | Some _ | None -> ())
-      done;
-      Bounded_safe config.max_depth
-    with
-    | Done v -> v
+  let rec from i =
+    match List.filter (fun p -> p.ps_verdict = None) props with
+    | [] -> Bounded_safe config.max_depth
+    | _ when i > config.max_depth -> Bounded_safe config.max_depth
+    | _ when deadline_passed () -> Timed_out !completed
+    | pending -> (
+      Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () -> depth i pending);
+      completed := i;
+      match config.stop_on_stable with
+      | Some s when config.collect_reasons && i - run.reasons_last_changed >= s ->
+        Reasons_stable i
+      | Some _ | None -> from (i + 1))
+  in
+  let stop =
+    try from 0 with
     | Solver.Timeout -> Timed_out !completed
     | Solver.Budget_exceeded what -> Out_of_budget { depth = !completed; what }
   in
-  let cert_t0 = Obs.now () in
   let ev = evidence_of solver in
-  let certificate = Obs.span "certify" (fun () -> certify_verdict run ev verdict) in
-  let cert_time_s = Obs.now () -. cert_t0 in
+  let verdicts =
+    Obs.span "certify" (fun () ->
+        let certify = certifier run ev in
+        List.map
+          (fun p ->
+            let verdict = Option.value p.ps_verdict ~default:stop in
+            (p.ps_name, verdict, certify verdict))
+          props)
+  in
   let gc = Gc.quick_stat () in
   let cnf_stats = Cnf.stats unr in
   (* Under a portfolio, the solver telemetry aggregates all instances: the
@@ -503,270 +540,50 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
   in
   let stats =
     {
-      depths_completed = !completed + 1;
       solve_time = run.solve_time;
       encode_time = run.encode_time;
-      cert_time_s;
       proof_steps = (if config.certify then List.length (Lazy.force ev.ev_proof) else 0);
       num_vars = Solver.num_vars solver;
       num_clauses = Solver.num_clauses solver;
-      num_conflicts = sstats.Solver.conflicts;
       vars_saved = cnf_stats.Cnf.vars_saved;
       clauses_saved = cnf_stats.Cnf.clauses_saved;
       peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
       latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
       memory_reasons =
         List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);
-      reasons_last_changed = run.reasons_last_changed;
       solver_stats = sstats;
     }
   in
-  (* The self-contained evidence behind a DRAT-checked UNSAT verdict —
-     original clauses, derivation and assumption obligations — for layers
-     that persist certificates (lib/vcache) and re-check them independently
+  (* The self-contained evidence behind the DRAT-checked verdicts — original
+     clauses, derivation and assumption obligations — for layers that
+     persist certificates (lib/vcache) and re-check them independently
      later.  Only for single-instance runs: under a portfolio, obligations
      are spread over per-instance derivations and no single artifact
      re-checks them. *)
   let artifact =
-    match (certificate, run.portfolio) with
-    | Cert.Certified Cert.Drat_checked, None when run.obligations <> [] ->
-      Some
-        {
-          ca_num_vars = Solver.num_vars solver;
-          ca_original = Lazy.force ev.ev_original;
-          ca_proof = Lazy.force ev.ev_proof;
-          ca_obligations = List.rev_map (fun (cube, _) -> cube) run.obligations;
-        }
-    | _ -> None
-  in
-  { verdict; stats; certificate; artifact }
-
-(* Multi-property mode: one incremental run over the shared unrolling.  Each
-   property carries its own CP activation literal and is retired as soon as a
-   counterexample or a proof lands. *)
-type prop_state = {
-  ps_name : string;
-  ps_signal : Netlist.signal;
-  ps_act_cp : Lit.t;
-  mutable ps_verdict : verdict option;
-}
-
-let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
-  let solver = Solver.create () in
-  let portfolio = make_portfolio config solver in
-  Solver.set_deadline solver config.deadline;
-  Solver.set_conflict_budget solver config.conflict_budget;
-  Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
-  if config.certify then Solver.set_proof_logging solver true;
-  let unr = make_unroller config solver net in
-  let run =
-    {
-      cfg = config;
-      hks = hooks;
-      net;
-      solver;
-      unr;
-      prop = Netlist.true_;
-      prop_name = "";
-      act_lfp = Cnf.fresh_lit unr;
-      act_cp = Cnf.fresh_lit unr;
-      state_latches =
-        List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
-      reasons = Hashtbl.create 64;
-      mem_reasons = Hashtbl.create 4;
-      watches = (if config.certify then watch_signals net else []);
-      portfolio;
-      obligations = [];
-      reasons_last_changed = 0;
-      solve_time = 0.0;
-      encode_time = 0.0;
-    }
-  in
-  let act_init = Cnf.act_init unr in
-  (* Same policy as [check]: with a memory-distinctness predicate the
-     loop-free-path constraints cover the full modeled state and proofs run
-     at every depth; without one, empty latch-only constraints must not
-     claim a zero diameter while memory state evolves, and only the
-     distinctness-free depth-0 checks stay. *)
-  let lfp_meaningful =
-    run.hks.mem_distinct <> None
-    || run.state_latches <> []
-    || List.for_all (fun m -> Netlist.num_write_ports m = 0) (Netlist.memories net)
-  in
-  let proof_checks_at i = config.proof_checks && (lfp_meaningful || i = 0) in
-  let prop_pol = if config.proof_checks then Cnf.Both else Cnf.Neg in
-  let props =
-    List.map
-      (fun name ->
-        {
-          ps_name = name;
-          ps_signal = Netlist.find_property net name;
-          ps_act_cp = Cnf.fresh_lit unr;
-          ps_verdict = None;
-        })
-      properties
-  in
-  let undecided () = List.filter (fun p -> p.ps_verdict = None) props in
-  let deadline_passed () =
-    match config.deadline with
-    | Some d -> Obs.now () > d
-    | None -> false
-  in
-  let completed = ref (-1) in
-  let budget_hit = ref None in
-  (try
-     let i = ref 0 in
-     while !i <= config.max_depth && undecided () <> [] do
-       if deadline_passed () then raise Exit;
-       Obs.span "depth" ~attrs:[ ("k", Obs.Int !i) ] (fun () ->
-       timed_encode run (fun () ->
-           hooks.on_unroll unr !i;
-           List.iter
-             (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:!i s))
-             run.watches;
-           if proof_checks_at !i then add_lfp_pairs run !i);
-       let pending = undecided () in
-       if proof_checks_at !i then begin
-         (* Forward diameter: settles every remaining property at once. *)
-         if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat
-         then begin
-           List.iter
-             (fun p ->
-               p.ps_verdict <- Some (Proof { depth = !i; kind = Forward_diameter }))
-             pending;
-           raise Exit
-         end;
-         List.iter
-           (fun p ->
-             let p_i = Cnf.lit unr ~frame:!i p.ps_signal in
-             if
-               timed_solve ~what:"induction" run
-                 [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
-               = Solver.Unsat
-             then
-               p.ps_verdict <- Some (Proof { depth = !i; kind = Backward_induction }))
-           pending
-       end;
-       List.iter
-         (fun p ->
-           if p.ps_verdict = None then begin
-             let p_i =
-               timed_encode run (fun () ->
-                   Cnf.lit ~pol:prop_pol unr ~frame:!i p.ps_signal)
-             in
-             match timed_solve run [ act_init; Lit.negate p_i ] with
-             | Solver.Sat ->
-               let run_p = { run with prop = p.ps_signal; prop_name = p.ps_name } in
-               p.ps_verdict <- Some (Counterexample (extract_trace run_p !i))
-             | Solver.Unsat ->
-               (* Parity with [check]: record when the reason set last grew,
-                  so [stop_on_stable] works in multi-property mode too. *)
-               if config.collect_reasons then begin
-                 let before =
-                   Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons
-                 in
-                 collect_reasons_from_core run;
-                 if Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons <> before
-                 then run.reasons_last_changed <- !i
-               end
-           end)
-         pending;
-       (* CP updates for the survivors — only the proof checks assume the
-          per-property [act_cp]. *)
-       if config.proof_checks then
-         List.iter
-           (fun p ->
-             if p.ps_verdict = None then
-               let p_i = Cnf.lit unr ~frame:!i p.ps_signal in
-               Cnf.add_clause unr [ Lit.negate p.ps_act_cp; p_i ])
-           pending;
-       completed := !i;
-       (match config.stop_on_stable with
-       | Some s when config.collect_reasons && !i - run.reasons_last_changed >= s ->
-         List.iter
-           (fun p ->
-             if p.ps_verdict = None then p.ps_verdict <- Some (Reasons_stable !i))
-           props;
-         raise Exit
-       | Some _ | None -> ());
-       incr i)
-     done
-   with
-  | Exit | Solver.Timeout -> ()
-  | Solver.Budget_exceeded what -> budget_hit := Some what);
-  (* One DRAT check serves every UNSAT-backed verdict: all obligations were
-     answered by the same incremental solver over the shared unrolling. *)
-  let cert_t0 = Obs.now () in
-  let ev = evidence_of solver in
-  let unsat_certificate =
     lazy
-      (if not config.certify then Cert.Unchecked "certification disabled"
-       else begin
-         dump_proof run ev;
-         certify_unsat run ev
-       end)
-  in
-  let certificate_of verdict =
-    if not config.certify then Cert.Unchecked "certification disabled"
-    else
-      Obs.span "certify" (fun () ->
-          match verdict with
-          | Proof _ | Bounded_safe _ | Reasons_stable _ -> Lazy.force unsat_certificate
-          | Counterexample t -> Trace.certify net t
-          | Timed_out _ -> Cert.Unchecked "timed out"
-          | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what))
-  in
-  let gc = Gc.quick_stat () in
-  let cnf_stats = Cnf.stats unr in
-  (* Under a portfolio, the solver telemetry aggregates all instances: the
-     work the machine actually did, not just the winner's share. *)
-  let sstats =
-    match run.portfolio with
-    | Some p -> Portfolio.merged_stats p
-    | None -> Solver.stats solver
-  in
-  let stats =
-    {
-      depths_completed = !completed + 1;
-      solve_time = run.solve_time;
-      encode_time = run.encode_time;
-      cert_time_s = 0.0;
-      proof_steps = (if config.certify then List.length (Lazy.force ev.ev_proof) else 0);
-      num_vars = Solver.num_vars solver;
-      num_clauses = Solver.num_clauses solver;
-      num_conflicts = sstats.Solver.conflicts;
-      vars_saved = cnf_stats.Cnf.vars_saved;
-      clauses_saved = cnf_stats.Cnf.clauses_saved;
-      peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
-      latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
-      memory_reasons =
-        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);
-      reasons_last_changed = run.reasons_last_changed;
-      solver_stats = sstats;
-    }
+      {
+        ca_num_vars = Solver.num_vars solver;
+        ca_original = Lazy.force ev.ev_original;
+        ca_proof = Lazy.force ev.ev_proof;
+        ca_obligations = List.rev_map fst run.obligations;
+      }
   in
   let results =
     List.map
-      (fun p ->
-        let verdict =
-          match p.ps_verdict with
-          | Some v -> v
-          | None -> (
-            match !budget_hit with
-            | Some what -> Out_of_budget { depth = !completed; what }
-            | None ->
-              if deadline_passed () then Timed_out !completed
-              else Bounded_safe config.max_depth)
+      (fun (name, verdict, certificate) ->
+        let artifact =
+          match (certificate, run.portfolio) with
+          | Cert.Certified Cert.Drat_checked, None -> Some (Lazy.force artifact)
+          | _ -> None
         in
-        let certificate = certificate_of verdict in
-        (p.ps_name, { verdict; stats; certificate; artifact = None }))
-      props
-  in
-  let stats = { stats with cert_time_s = Obs.now () -. cert_t0 } in
-  let results =
-    List.map (fun (name, r) -> (name, { r with stats })) results
+        (name, { verdict; stats; certificate; artifact }))
+      verdicts
   in
   (results, stats)
+
+let check ?config ?hooks net ~property =
+  List.assoc property (fst (check_all ?config ?hooks net ~properties:[ property ]))
 
 let pp_verdict ppf = function
   | Proof { depth; kind = Forward_diameter } ->

@@ -33,16 +33,13 @@ type verdict =
           exhausted resource *)
 
 type stats = {
-  depths_completed : int;
   solve_time : float;  (** seconds spent inside the SAT solver *)
   encode_time : float;
       (** seconds spent building the formula: unrolling, memory-modeling
           hooks and loop-free-path constraints *)
-  cert_time_s : float;  (** seconds spent certifying the verdict *)
   proof_steps : int;  (** DRAT steps logged (0 unless [certify]) *)
   num_vars : int;
   num_clauses : int;
-  num_conflicts : int;
   vars_saved : int;
       (** unroller variables avoided by the simplifying encoder vs. the
           plain per-frame Tseitin baseline (0 when [simplify = false]) *)
@@ -52,10 +49,9 @@ type stats = {
       (** union of latch reasons over all analysed depths *)
   memory_reasons : int list;
       (** ids of memories whose EMM constraints appeared in some refutation *)
-  reasons_last_changed : int;  (** depth at which either reason set last grew *)
   solver_stats : Satsolver.Solver.stats;
       (** cumulative CDCL telemetry for the run's solver (restarts, learnt /
-          deleted clauses, average LBD, minimised literals, ...) *)
+          deleted clauses, average LBD, minimised literals, conflicts, ...) *)
 }
 
 type cert_artifact = {
@@ -79,13 +75,17 @@ type result = {
   artifact : cert_artifact option;
       (** present exactly when [certificate = Certified Drat_checked] and the
           run was single-instance (no Domain portfolio, whose obligations are
-          spread over per-instance derivations); {!check_all} never produces
-          one *)
+          spread over per-instance derivations).  Every DRAT-checked result
+          of one {!check_all} run carries the same artifact: one derivation
+          and every UNSAT obligation the run recorded, for all its
+          properties *)
 }
 
 type config = {
   max_depth : int;
-  deadline : float option;  (** wall-clock limit, [Unix.gettimeofday] scale *)
+  deadline : float option;
+      (** absolute time limit on the {!Obs.now} clock (wall-clock seconds
+          unless a recorder with its own clock is installed) *)
   proof_checks : bool;  (** false = falsification only (BMC-2 style) *)
   collect_reasons : bool;  (** PBA bookkeeping from UNSAT cores *)
   stop_on_stable : int option;
@@ -147,25 +147,34 @@ type hooks = {
 
 val no_hooks : hooks
 
-val check : ?config:config -> ?hooks:hooks -> Netlist.t -> property:string -> result
-
 val check_all :
   ?config:config ->
   ?hooks:hooks ->
   Netlist.t ->
   properties:string list ->
   (string * result) list * stats
-(** Check many properties in a single incremental run, sharing the unrolled
-    transition relation, the EMM constraints and all learnt clauses — the way
-    the paper's platform processes the 216 reachability properties of its
-    first industry case study.  Per depth, every still-undecided property
-    gets its own falsification query; the (property-independent)
-    forward-diameter check, when it fires, settles every survivor at once,
-    and per-property backward-induction checks run against per-property
-    assumption literals.  Returns the per-property results plus the shared
-    run statistics.  With [collect_reasons] and [stop_on_stable] set, the
-    run stops once the shared reason set has been stable for the requested
-    number of depths, and every still-undecided property is reported as
-    [Reasons_stable] — the same contract as {!check}. *)
+(** The engine's one run loop: check many properties in a single
+    incremental run, sharing the unrolled transition relation, the EMM
+    constraints and all learnt clauses — the way the paper's platform
+    processes the 216 reachability properties of its first industry case
+    study.  Per depth, the (property-independent) forward-diameter check,
+    when it fires, settles every undecided property at once; otherwise every
+    undecided property gets a backward-induction check against its own CP
+    assumption literal, then its own falsification query.  A property is
+    retired as soon as a counterexample or a proof lands.
+
+    When the run stops before deciding a property, the property gets the
+    stop verdict: [Bounded_safe max_depth] after the last depth,
+    [Timed_out] when the deadline passes, [Out_of_budget] when a solver
+    budget runs out, and — with [collect_reasons] and [stop_on_stable] set —
+    [Reasons_stable] once the shared reason set has been stable for the
+    requested number of depths.  Certification runs once for the whole run
+    (one DRAT check of all its UNSAT obligations, one replay per
+    counterexample).  Returns the per-property results, in the order of
+    [properties], plus the shared run statistics (also in every result). *)
+
+val check : ?config:config -> ?hooks:hooks -> Netlist.t -> property:string -> result
+(** [check ~property] is {!check_all} on [[property]]: the same clauses, the
+    same queries in the same order, the same result. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

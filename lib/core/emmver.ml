@@ -290,20 +290,16 @@ and verify_pba ~options ~use_emm net ~property ~t0 =
       { Bmc.Engine.verdict;
         stats =
           {
-            Bmc.Engine.depths_completed = 0;
-            solve_time = 0.0;
+            Bmc.Engine.solve_time = 0.0;
             encode_time = 0.0;
-            cert_time_s = 0.0;
             proof_steps = 0;
             num_vars = 0;
             num_clauses = 0;
-            num_conflicts = 0;
             vars_saved = 0;
             clauses_saved = 0;
             peak_memory_mb = 0.0;
             latch_reasons = [];
             memory_reasons = [];
-            reasons_last_changed = 0;
             solver_stats = Satsolver.Solver.empty_stats;
           };
         certificate = Cert.Unchecked "pba discovery verdict";

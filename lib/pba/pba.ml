@@ -61,14 +61,14 @@ let discover ?(max_depth = 200) ?(stability = 10) ?deadline ?(use_emm = true) ?w
       portfolio = None;
     }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let result =
     if use_emm then
       let memories = Option.map (fun a -> a.modeled_memories) within in
       fst (Emm.check ~config ?memories net ~property)
     else Bmc.Engine.check ~config net ~property
   in
-  let time = Unix.gettimeofday () -. t0 in
+  let time = Obs.now () -. t0 in
   match result.Bmc.Engine.verdict with
   | Bmc.Engine.Reasons_stable depth | Bmc.Engine.Bounded_safe depth ->
     let reasons = result.Bmc.Engine.stats.Bmc.Engine.latch_reasons in

@@ -20,7 +20,8 @@ type abstraction = {
   modeled_memories : Netlist.memory list;
   abstracted_memories : Netlist.memory list;
   discovery_depth : int;  (** depth at which the reason set stabilised *)
-  discovery_time : float;  (** seconds spent in the discovery run *)
+  discovery_time : float;
+      (** seconds spent in the discovery run, on the {!Obs.now} clock *)
 }
 
 val memory_control_latches : Netlist.t -> Netlist.memory -> Netlist.signal list

@@ -162,7 +162,6 @@ type t = {
   mutable clause_listener : (int -> Lit.t list -> unit) option;
   mutable shared_out : int;
   mutable shared_in : int;
-  mutable core_tainted : bool; (* last refutation traversed an imported clause *)
   (* Diversification knobs for portfolio replicas. *)
   mutable var_decay_inv : float;
   mutable restart_base : float;
@@ -250,7 +249,6 @@ let create () =
     clause_listener = None;
     shared_out = 0;
     shared_in = 0;
-    core_tainted = false;
     var_decay_inv = var_decay;
     restart_base = 100.0;
     phase_default = false;
@@ -285,7 +283,6 @@ let deadline t = t.deadline
 let conflict_budget t = t.conflict_budget
 let learnt_budget_mb t = t.learnt_budget_mb
 let proof_logging_enabled t = t.proof_logging
-let core_complete t = not t.core_tainted
 let raw_model t = Array.copy t.model
 let adopt_model t m = t.model <- Array.copy m
 let proof t = List.rev t.proof_steps
@@ -747,7 +744,6 @@ let propagate t =
    reached, plus the assumption literals (reason-less assignments above the
    root level) encountered on the way. *)
 let collect_refutation t seeds =
-  t.core_tainted <- false;
   t.refute_stamp <- t.refute_stamp + 1;
   let stamp = t.refute_stamp in
   let originals = ref [] in
@@ -767,10 +763,9 @@ let collect_refutation t seeds =
             match Hashtbl.find t.cid_info s with
             | Imported ->
               (* No local derivation: the core under-approximates the
-                 original clauses actually needed.  Flag it so consumers
-                 that require an exact core ({!core_complete}) can degrade
-                 conservatively. *)
-              t.core_tainted <- true
+                 original clauses actually needed.  Consumers that need an
+                 exact core solve without clause sharing. *)
+              ()
             | Learnt_from premises -> Array.iter push premises
         end
       end
@@ -1115,7 +1110,8 @@ let learn_clause t lits lbd premises =
 (* Install a clause learnt by a peer solver over the same variable
    numbering.  Root-level only.  The clause enters the learnt database with
    glue LBD (2), so DB reduction protects it, but it carries no local
-   premises: refutations that traverse it are flagged via {!core_complete}.
+   premises: a core through it under-approximates the original clauses
+   needed.
    Returns [false] when the clause is dropped (unknown variable, tautology,
    or already satisfied at root). *)
 let import_clause t lits =

@@ -122,12 +122,6 @@ val set_clause_listener : t -> (int -> Lit.t list -> unit) option -> unit
     regardless of the solver's ok-flag — the exact stream a replica must
     replay to mirror this instance. *)
 
-val core_complete : t -> bool
-(** [false] when the last refutation traversed an imported clause, in which
-    case {!unsat_core} / {!unsat_core_tags} under-approximate the original
-    clauses needed.  Consumers requiring exact cores (proof-based
-    abstraction) must solve without sharing. *)
-
 (** {2 Diversification knobs}
 
     Per-instance search-strategy parameters, all with the classic defaults;
@@ -180,7 +174,10 @@ val value_var : t -> int -> bool
 val unsat_core : t -> int list
 (** After an [Unsat] answer: ids of original clauses sufficient for the
     refutation (together with the assumptions).  Ids are those returned
-    implicitly by clause insertion order, starting at 0. *)
+    implicitly by clause insertion order, starting at 0.  A clause imported
+    from a peer ({!import_clauses}) has no local derivation, so a refutation
+    through one yields an under-approximate core: consumers that need exact
+    cores (proof-based abstraction) solve without clause sharing. *)
 
 val unsat_core_tags : t -> int list
 (** Distinct non-negative tags of the original clauses in {!unsat_core}. *)

@@ -89,6 +89,19 @@ let prop_agrees_with_bmc =
       | Bddmc.Safe _, Bmc.Engine.Proof _ -> true
       | _ -> false)
 
+(* The engine keeps time on the clock the spans use, [Obs.now]: under a fixed
+   recorder clock that advances one tick per reading, its time is a whole
+   number of ticks. *)
+let test_time_on_obs_clock () =
+  let prev = Obs.current () in
+  Obs.set_current (Some (Obs.create ~clock:(Obs.Clock.fixed ()) ~track_alloc:false ()));
+  Fun.protect
+    ~finally:(fun () -> Obs.set_current prev)
+    (fun () ->
+      let r = Bddmc.check (counter ~width:3 ~bad:5) ~property:"p" in
+      Alcotest.(check bool) "time in clock ticks" true
+        (Float.is_integer r.Bddmc.time && r.Bddmc.time >= 1.0))
+
 let () =
   Alcotest.run "bddmc"
     [
@@ -101,6 +114,7 @@ let () =
           Alcotest.test_case "expanded memory checks" `Quick test_expanded_memory_checks;
           Alcotest.test_case "node limit on big memory" `Quick
             test_node_limit_on_big_memory;
+          Alcotest.test_case "time on the obs clock" `Quick test_time_on_obs_clock;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_agrees_with_bmc ]);
     ]

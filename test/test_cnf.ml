@@ -152,11 +152,25 @@ let test_negative_frame_rejected () =
   Alcotest.check_raises "negative frame" (Invalid_argument "Cnf.lit: negative frame")
     (fun () -> ignore (Cnf.lit unr ~frame:(-1) Netlist.true_))
 
-(* check_all must agree with independent single-property runs. *)
-let test_check_all_consistency () =
+(* check_all must agree with independent single-property runs: the same
+   verdict, the same proof kind and depth, and under [certify] the same
+   certificate.  Every DRAT-checked result that carries an artifact must
+   re-check on its own. *)
+let check_artifact name (r : Bmc.Engine.result) =
+  match r.Bmc.Engine.artifact with
+  | None -> ()
+  | Some a -> (
+    match
+      Cert.Drat.check ~original:a.Bmc.Engine.ca_original ~proof:a.ca_proof
+        ~obligations:a.ca_obligations ()
+    with
+    | Cert.Drat.Valid _ -> ()
+    | Cert.Drat.Invalid why -> Alcotest.failf "%s: artifact does not re-check: %s" name why)
+
+let check_all_consistency ~certify () =
   let net = Designs.Image_filter.build { Designs.Image_filter.default_config with addr_width = 2 } in
   let names = [ "P18"; "P60"; "P120"; "P230"; "P232" ] in
-  let config = { Bmc.Engine.default_config with max_depth = 25 } in
+  let config = { Bmc.Engine.default_config with max_depth = 25; certify } in
   let results, _, _ = Emm.check_many ~config net ~properties:names in
   List.iter
     (fun (name, multi) ->
@@ -164,7 +178,7 @@ let test_check_all_consistency () =
       let signature r =
         match r.Bmc.Engine.verdict with
         | Bmc.Engine.Counterexample t -> `Cex t.Bmc.Trace.depth
-        | Bmc.Engine.Proof { kind; _ } -> `Proof kind
+        | Bmc.Engine.Proof { kind; depth } -> `Proof (kind, depth)
         | Bmc.Engine.Bounded_safe d -> `Safe d
         | Bmc.Engine.Reasons_stable d -> `Stable d
         | Bmc.Engine.Timed_out d -> `Timeout d
@@ -173,7 +187,18 @@ let test_check_all_consistency () =
       Alcotest.(check bool)
         (Printf.sprintf "%s agrees" name)
         true
-        (signature multi = signature single))
+        (signature multi = signature single);
+      Alcotest.(check string)
+        (Printf.sprintf "%s certificate" name)
+        (Cert.label single.Bmc.Engine.certificate)
+        (Cert.label multi.Bmc.Engine.certificate);
+      if certify then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s certified" name)
+          true
+          (match multi.Bmc.Engine.certificate with Cert.Certified _ -> true | _ -> false);
+      check_artifact (name ^ " (check_all)") multi;
+      check_artifact (name ^ " (check)") single)
     results
 
 let test_check_all_traces_replay () =
@@ -190,6 +215,69 @@ let test_check_all_traces_replay () =
       | _ -> Alcotest.failf "%s: expected witness" name)
     results
 
+(* The stop verdicts of the one run loop.  Through [check] they are pinned
+   to exact depths; through [check_all], every property the run leaves
+   undecided gets the same stop verdict, of the same kind. *)
+let fifo () = Designs.Fifo.build Designs.Fifo.default_config
+let verdict = Alcotest.testable Bmc.Engine.pp_verdict ( = )
+
+let stop_kind = function
+  | Bmc.Engine.Timed_out _ -> Some `Timed_out
+  | Bmc.Engine.Out_of_budget _ -> Some `Out_of_budget
+  | Bmc.Engine.Reasons_stable _ -> Some `Reasons_stable
+  | Bmc.Engine.Bounded_safe _ -> Some `Bounded_safe
+  | Bmc.Engine.Proof _ | Bmc.Engine.Counterexample _ -> None
+
+let check_stops ~config ~expected () =
+  let single, _ = Emm.check ~config (fifo ()) ~property:"fifo_data" in
+  Alcotest.check verdict "check" expected single.Bmc.Engine.verdict;
+  let results, _, _ =
+    Emm.check_many ~config (fifo ()) ~properties:[ "fifo_data"; "fifo_count" ]
+  in
+  let stopped =
+    List.filter_map
+      (fun (_, r) ->
+        let v = r.Bmc.Engine.verdict in
+        Option.map (fun _ -> v) (stop_kind v))
+      results
+  in
+  Alcotest.(check bool) "check_all leaves fifo_data undecided" true
+    (stop_kind (List.assoc "fifo_data" results).Bmc.Engine.verdict <> None);
+  List.iter
+    (fun v ->
+      Alcotest.check verdict "one stop verdict" (List.hd stopped) v;
+      Alcotest.(check bool) "stop kind" true (stop_kind v = stop_kind expected))
+    stopped
+
+let depth_12 = { Bmc.Engine.default_config with max_depth = 12 }
+
+let test_stop_deadline () =
+  check_stops
+    ~config:{ depth_12 with deadline = Some (Obs.now () -. 1.0) }
+    ~expected:(Bmc.Engine.Timed_out (-1))
+    ()
+
+let test_stop_budget () =
+  List.iter
+    (fun (conflicts, depth) ->
+      check_stops
+        ~config:{ depth_12 with conflict_budget = Some conflicts }
+        ~expected:(Bmc.Engine.Out_of_budget { depth; what = "conflicts" })
+        ())
+    [ (1, 0); (20, 2) ]
+
+let test_stop_reasons_stable () =
+  check_stops
+    ~config:
+      {
+        depth_12 with
+        proof_checks = false;
+        collect_reasons = true;
+        stop_on_stable = Some 3;
+      }
+    ~expected:(Bmc.Engine.Reasons_stable 5)
+    ()
+
 let () =
   Alcotest.run "cnf"
     [
@@ -202,8 +290,17 @@ let () =
             test_free_latch_is_unconstrained;
           Alcotest.test_case "constant nodes" `Quick test_constant_nodes;
           Alcotest.test_case "negative frame rejected" `Quick test_negative_frame_rejected;
-          Alcotest.test_case "check_all consistency" `Quick test_check_all_consistency;
+          Alcotest.test_case "check_all consistency" `Quick
+            (check_all_consistency ~certify:false);
+          Alcotest.test_case "check_all consistency, certified" `Quick
+            (check_all_consistency ~certify:true);
           Alcotest.test_case "check_all traces replay" `Quick test_check_all_traces_replay;
+        ] );
+      ( "stops",
+        [
+          Alcotest.test_case "passed deadline times out" `Quick test_stop_deadline;
+          Alcotest.test_case "conflict budget" `Quick test_stop_budget;
+          Alcotest.test_case "reasons stable" `Quick test_stop_reasons_stable;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_unrolling_matches_simulator ] );

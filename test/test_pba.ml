@@ -103,6 +103,23 @@ let test_explicit_discovery () =
     Alcotest.(check bool) "memory bits dropped" true
       (not (List.exists (fun n -> String.length n > 3 && String.sub n 0 3 = "mem") kept_names))
 
+(* Discovery keeps time on the clock the spans use, [Obs.now]: under a fixed
+   recorder clock that advances one tick per reading, its time is a whole
+   number of ticks. *)
+let test_discovery_time_on_obs_clock () =
+  let prev = Obs.current () in
+  Obs.set_current (Some (Obs.create ~clock:(Obs.Clock.fixed ()) ~track_alloc:false ()));
+  Fun.protect
+    ~finally:(fun () -> Obs.set_current prev)
+    (fun () ->
+      match Pba.discover ~max_depth:30 ~stability:5 (two_counter_design ()) ~property:"a_small" with
+      | Either.Left a ->
+        let t = a.Pba.discovery_time in
+        Alcotest.(check bool) "discovery time in clock ticks" true
+          (Float.is_integer t && t >= 1.0)
+      | Either.Right v ->
+        Alcotest.failf "discovery concluded: %s" (Format.asprintf "%a" Bmc.Engine.pp_verdict v))
+
 let () =
   Alcotest.run "pba"
     [
@@ -118,5 +135,7 @@ let () =
           Alcotest.test_case "memory control latches" `Quick test_memory_control_latches;
           Alcotest.test_case "iterate converges" `Quick test_iterate_converges;
           Alcotest.test_case "explicit discovery" `Quick test_explicit_discovery;
+          Alcotest.test_case "discovery time on the obs clock" `Quick
+            test_discovery_time_on_obs_clock;
         ] );
     ]
