@@ -138,10 +138,11 @@ type hooks = {
          the modeled memory state at frame [i] can differ from frame [j]
          (some enabled write in [j, i) stores a value the location did not
          already hold).  It is OR'd into the loop-free-path distinctness
-         clause of every frame pair, making termination proofs range over
-         memory state as well as latches.  [None]: memory contents are
-         invisible to the distinctness clauses and the engine falls back to
-         the conservative latch-only guard below. *)
+         clause of every frame pair the engine constrains, making
+         termination proofs range over memory state as well as latches.
+         [None]: memory contents are invisible to the distinctness clauses
+         and the engine falls back to the conservative latch-only guard
+         below. *)
 }
 
 let no_hooks =
@@ -161,6 +162,10 @@ type run = {
   unr : Cnf.t;
   act_lfp : Lit.t;
   state_latches : Netlist.signal list;
+  latch_lits : (int, Lit.t list) Hashtbl.t;
+      (* frame -> its state-latch literals, encoded with full polarity so
+         that model values are faithful *)
+  lfp_pairs : (int * int, unit) Hashtbl.t;  (* frame pairs constrained *)
   reasons : (Netlist.signal, unit) Hashtbl.t;
   mem_reasons : (int, unit) Hashtbl.t;
   watches : (string * Netlist.signal * Netlist.signal option) list;
@@ -206,36 +211,72 @@ let timed_encode run f =
     ~finally:(fun () -> run.encode_time <- run.encode_time +. Obs.now () -. t0)
     (fun () -> Obs.span "encode" f)
 
-(* Loop-free-path constraints: for the new frame [i], require state [i] to
-   differ from every earlier state, guarded by [act_lfp].  State is the latch
-   vector plus — when the hooks provide a memory-distinctness predicate — the
-   contents of the modeled memories, so a frame pair only counts as a repeat
-   when latches AND memory agree. *)
-let add_lfp_pairs run i =
+(* The loop-free-path constraint of frames [j < i]: state [i] differs from
+   state [j], guarded by [act_lfp].  State is the latch vector plus — when
+   the hooks provide a memory-distinctness predicate — the contents of the
+   modeled memories, so a frame pair only counts as a repeat when latches
+   AND memory agree. *)
+let add_lfp_pair run (j, i) =
   let unr = run.unr in
-  List.iter
-    (fun j ->
-      let diffs =
-        List.map
-          (fun l ->
-            let x = Cnf.lit unr ~frame:j l in
-            let y = Cnf.lit unr ~frame:i l in
-            let q = Cnf.fresh_lit unr in
-            (* q -> (x <> y) *)
-            Cnf.add_clause unr [ Lit.negate q; x; y ];
-            Cnf.add_clause unr [ Lit.negate q; Lit.negate x; Lit.negate y ];
-            q)
-          run.state_latches
-      in
-      let diffs =
-        match run.hks.mem_distinct with
-        | Some f ->
-          let d = f unr ~i ~j in
-          if d = Cnf.false_lit unr then diffs else d :: diffs
-        | None -> diffs
-      in
-      Cnf.add_clause unr (Lit.negate run.act_lfp :: diffs))
-    (List.init i Fun.id)
+  let diffs =
+    List.map2
+      (fun x y ->
+        let q = Cnf.fresh_lit unr in
+        (* q -> (x <> y) *)
+        Cnf.add_clause unr [ Lit.negate q; x; y ];
+        Cnf.add_clause unr [ Lit.negate q; Lit.negate x; Lit.negate y ];
+        q)
+      (Hashtbl.find run.latch_lits j) (Hashtbl.find run.latch_lits i)
+  in
+  let diffs =
+    match run.hks.mem_distinct with
+    | Some f ->
+      let d = f unr ~i ~j in
+      if d = Cnf.false_lit unr then diffs else d :: diffs
+    | None -> diffs
+  in
+  Cnf.add_clause unr (Lit.negate run.act_lfp :: diffs);
+  Hashtbl.replace run.lfp_pairs (j, i) ()
+
+(* Loop-free-path constraints on demand (Eén and Sörensson, "Temporal
+   Induction by Incremental SAT Solving", BMC 2003): after a satisfiable LFP
+   or induction query at depth [i], constrain every pair of frames in
+   [0, i] whose state latches the model sets equal and that has no
+   constraint yet, in frame order.  Returns the number of pairs added. *)
+let refine_lfp run i =
+  let by_state = Hashtbl.create 16 in
+  let repeats = ref [] in
+  for f = 0 to i do
+    let state = List.map (Solver.value run.solver) (Hashtbl.find run.latch_lits f) in
+    let earlier = Option.value (Hashtbl.find_opt by_state state) ~default:[] in
+    List.iter
+      (fun j -> if not (Hashtbl.mem run.lfp_pairs (j, f)) then repeats := (j, f) :: !repeats)
+      earlier;
+    Hashtbl.replace by_state state (earlier @ [ f ])
+  done;
+  List.iter (add_lfp_pair run) (List.rev !repeats);
+  List.length !repeats
+
+(* An LFP or induction query over the pairs constrained so far, refined
+   until it is Unsat or its model repeats no unconstrained pair.  This
+   answers as if every pair were constrained: Unsat over a subset of the
+   pairs is Unsat over all of them, and a model whose unconstrained pairs
+   all differ on some state latch extends to their constraints — a fresh
+   difference literal, which occurs only positively, picks the differing
+   latch, and the memory-distinctness literal can stay false. *)
+let solve_lfp ~what run i assumptions =
+  let rec go () =
+    match timed_solve ~what run assumptions with
+    | Solver.Unsat -> Solver.Unsat
+    | Solver.Sat -> (
+      match timed_encode run (fun () -> refine_lfp run i) with
+      | 0 -> Solver.Sat
+      | added ->
+        Obs.counter_add "bmc.lfp_pairs" added;
+        Obs.counter_add "bmc.lfp_rounds" 1;
+        go ())
+  in
+  go ()
 
 (* Add the latches and memories of the last refutation's core to the reason
    sets, noting depth [i] when either set grows. *)
@@ -411,6 +452,8 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       act_lfp = Cnf.fresh_lit unr;
       state_latches =
         List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
+      latch_lits = Hashtbl.create 64;
+      lfp_pairs = Hashtbl.create 64;
       reasons = Hashtbl.create 64;
       mem_reasons = Hashtbl.create 4;
       watches = (if config.certify then watch_signals net else []);
@@ -457,21 +500,25 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
           let lits =
             List.map (fun p -> (p, Cnf.lit ~pol:prop_pol unr ~frame:i p.ps_signal)) pending
           in
-          (* Loop-free-path constraints only serve the termination checks. *)
-          if proof_checks_at i then add_lfp_pairs run i;
+          (* The state latches of frame i, for the loop-free-path pairs the
+             termination checks may ask for. *)
+          if proof_checks_at i then
+            Hashtbl.replace run.latch_lits i
+              (List.map (fun l -> Cnf.lit unr ~frame:i l) run.state_latches);
           lits)
     in
     if proof_checks_at i then begin
       (* Forward termination: no loop-free path of length i from I; this
          settles every pending property at once. *)
-      if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat then
+      if solve_lfp ~what:"lfp" run i [ act_init; run.act_lfp ] = Solver.Unsat then
         List.iter (decide (Proof { depth = i; kind = Forward_diameter })) pending
       else
         (* Backward termination: property inductive at depth i. *)
         List.iter
           (fun (p, p_i) ->
             if
-              timed_solve ~what:"induction" run [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
+              solve_lfp ~what:"induction" run i
+                [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
               = Solver.Unsat
             then decide (Proof { depth = i; kind = Backward_induction }) p)
           lits

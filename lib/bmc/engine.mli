@@ -13,10 +13,31 @@
       of length [i] exists.
 
     [LFP_i] are loop-free-path (state distinctness) constraints over the
-    non-abstracted latches; [CP_i] asserts the property at all earlier
-    depths.  After each unsatisfiable falsification query the engine can
-    retrace the refutation and accumulate {e latch reasons} — the proof-based
-    abstraction of Fig. 1 lines 10–11. *)
+    non-abstracted latches: frames [0..i] are pairwise distinct states.
+    [CP_i] asserts the property at all earlier depths.  After each
+    unsatisfiable falsification query the engine can retrace the refutation
+    and accumulate {e latch reasons} — the proof-based abstraction of Fig. 1
+    lines 10–11.
+
+    The pairs of [LFP_i] are added on demand (Eén and Sörensson, "Temporal
+    Induction by Incremental SAT Solving", BMC 2003).  Each depth encodes
+    frame [i]'s state latches but constrains no frame pair.  When an LFP or
+    induction query is satisfiable, every pair of frames in [0..i] whose
+    latch vectors coincide in the model and that is not yet constrained gets
+    its full constraint (some latch differs, or the memory-distinctness
+    literal of {!hooks} holds), in frame order, and the query is solved
+    again — until it is unsatisfiable or its model repeats no unconstrained
+    pair.  The answers are those of the eager encoding that constrains every
+    pair: unsatisfiable over a subset of the pairs is unsatisfiable over all
+    of them, and a model whose unconstrained pairs all differ on some latch
+    extends to their constraints — a fresh difference literal, which occurs
+    only positively, picks a differing latch, and the memory-distinctness
+    literal can stay false.  Pair constraints are original clauses added
+    between queries, so DRAT certification and portfolio replicas see them
+    like any other clause.  With a recorder installed, the counters
+    [bmc.lfp_pairs] (pairs constrained) and [bmc.lfp_rounds] (re-solves
+    after a refinement) count the work; each re-solve is a [solve] span with
+    its query's [query] attribute, and each refinement an [encode] span. *)
 
 type proof_kind = Forward_diameter | Backward_induction
 
@@ -135,14 +156,17 @@ type hooks = {
           modeled memory contents at frame [i] can differ from frame [j] —
           some enabled write in [j, i) stored a value the addressed location
           did not already hold.  The engine ORs it into the loop-free-path
-          distinctness clause of every frame pair, so termination proofs
-          (forward diameter and backward induction) become sound for designs
-          whose latch state repeats while memory contents diverge, and run
-          at every depth even on latch-free write-port designs.  The EMM
-          layer provides its [mem_distinct_lit] here.  [None] (the
-          [no_hooks] default): distinctness ranges over latches only, and
-          the engine conservatively disables termination checks past depth 0
-          when the latch vector is empty but some memory has a write port. *)
+          distinctness clause of every frame pair it constrains (only the
+          pairs whose latch vectors some model repeats, each once), so
+          termination proofs (forward diameter and backward induction)
+          become sound for designs whose latch state repeats while memory
+          contents diverge, and run at every depth even on latch-free
+          write-port designs (where every pair repeats the empty latch
+          vector).  The EMM layer provides its [mem_distinct_lit] here.
+          [None] (the [no_hooks] default): distinctness ranges over latches
+          only, and the engine conservatively disables termination checks
+          past depth 0 when the latch vector is empty but some memory has a
+          write port. *)
 }
 
 val no_hooks : hooks

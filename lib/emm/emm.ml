@@ -719,9 +719,11 @@ let counts_total t =
    never-written word to every other access of the memory.  A real read
    port with RE = true at the same frame and address bus already is that
    word, and stands in for the phantom read ([constrain_read_simpl]
-   registers it).  Phantom reads are memoized per (memory, frame, address
-   bus) and chg(f) per frame, so the O(depth^2) frame pairs requested by
-   the engine share O(depth x write-ports) phantom reads. *)
+   registers it).  Phantom reads are built only for the frame pairs the
+   engine requests — it constrains a pair only when a model repeats the
+   pair's latch vector — and are memoized per (memory, frame, address bus),
+   with chg(f) per frame, so the requested pairs share at most
+   O(depth x write-ports) phantom reads. *)
 
 (* Phantom read of memory [ms] at frame [f], address bus [ra] (already
    per-frame literals).  Returns the registered access; its [v_lits] is the

@@ -62,9 +62,11 @@
     a {e phantom read}: an interface word constrained by the same select
     networks, exclusivity chain and equation-(6) machinery as a real read
     port with [RE = true].  [D] occurs only positively in the engine's LFP
-    clauses, so all implications are one-directional; phantom reads are
-    memoized per (memory, frame, address bus) and [chg] per frame, so the
-    quadratically many frame pairs share linearly many phantom reads. *)
+    clauses, so all implications are one-directional.  Phantom reads serve
+    only the frame pairs the engine requests (it constrains a pair only when
+    a model repeats the pair's latch vector); they are memoized per (memory,
+    frame, address bus) and [chg] per frame, so the requested pairs share
+    linearly many phantom reads. *)
 
 type counts = {
   addr_clauses : int;  (** address-comparison CNF clauses *)
@@ -131,8 +133,9 @@ val mem_distinct_lit : t -> i:int -> j:int -> Satsolver.Lit.t
     a literal the solver may set true only when the modeled memory contents
     at frame [i] can differ from frame [j]: it implies that some enabled
     write in [j, i) stored a value the addressed location did not already
-    hold.  Memoized per pair; the per-frame change predicates and phantom
-    reads beneath it are shared across pairs.
+    hold.  Called by the engine only for the frame pairs it constrains.
+    Memoized per pair; the per-frame change predicates and phantom reads
+    beneath it are shared across pairs.
 
     A phantom read at frame [f] and address bus [A] is {e shared} with a
     real read when one exists: a read port of the same memory at frame [f]

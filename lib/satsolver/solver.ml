@@ -1370,6 +1370,13 @@ let search t conflict_budget =
         if v < 0 then raise (Found Sat)
         else begin
           t.decisions <- t.decisions + 1;
+          (* Satisfiable queries can make few conflicts, so the deadline is
+             also checked on the decision count. *)
+          (match t.deadline with
+          | Some d when t.decisions land 4095 = 0 && Obs.now () > d ->
+            cancel_until t 0;
+            raise Timeout
+          | Some _ | None -> ());
           new_decision_level t;
           let ph =
             if t.rnd_phase_freq > 0.0 && next_random t < t.rnd_phase_freq then

@@ -66,8 +66,8 @@ exception Budget_exceeded of string
 
 val set_deadline : t -> float option -> unit
 (** Deadline on the {!Obs.now} clock (the ambient recorder's clock, else the
-    wall clock), checked every 256 conflicts during search; [None] disables
-    it. *)
+    wall clock), checked every 256 conflicts and every 4,096 decisions
+    during search; [None] disables it. *)
 
 val set_conflict_budget : t -> int option -> unit
 (** Maximum conflicts a single {!solve} call may spend before

@@ -13,7 +13,7 @@ let depth_bound = 8
    Read enables are tied to true — the EMM contract allows designs to depend
    on read data only while the read is enabled.
 
-   Two generator styles share the [cfg] record:
+   Three generator styles share the [cfg] record:
 
    - [Classic]: a 3-bit counter, write data a function of the counter, an
      XOR accumulator latch — the original falsification-oriented net.
@@ -27,14 +27,21 @@ let depth_bound = 8
      (Data depending only on the address means a write can never restore a
      location to an older value, so "some write changed memory" coincides
      with "memory state differs" along loop-free paths and proved depths
-     match exactly, not just soundly.) *)
+     match exactly, not just soundly.)
+   - [Saturating]: a [cw]-bit counter (2 or 3 latches) that counts up to a
+     seeded [limit] and then stays there, with writes enabled only while it
+     counts.  Once the counter stops, latches and memory are frozen, so the
+     reachable state space has a short diameter and the forward-diameter
+     check fires — the termination check the other two styles almost never
+     exercise. *)
 
-type style = Classic | Latch_poor
+type style = Classic | Latch_poor | Saturating
 
 type cfg = {
   id : int;
   style : style;
   cw : int; (* counter width; latches in the design (Classic: always 3) *)
+  limit : int; (* Saturating: the count at which the counter stops *)
   aw : int;
   dw : int;
   wports : int;
@@ -59,6 +66,7 @@ let random_cfg id =
     id;
     style = Classic;
     cw = 3;
+    limit = 0;
     aw;
     dw;
     wports;
@@ -86,6 +94,7 @@ let latch_poor_cfg id =
     id;
     style = Latch_poor;
     cw;
+    limit = 0;
     aw;
     dw;
     wports;
@@ -99,6 +108,34 @@ let latch_poor_cfg id =
     en_bit =
       (if cw > 0 && Random.State.bool st then Some (Random.State.int st cw)
        else None);
+    prop_on_acc = false;
+    target = Random.State.int st (1 lsl dw);
+  }
+
+(* The saturating net has a seed space of its own as well. *)
+let saturating_cfg id =
+  let st = Random.State.make [| 0x5a7c; 0x5eed; id |] in
+  let cw = 2 + Random.State.int st 2 in
+  let limit = 1 + Random.State.int st ((1 lsl cw) - 1) in
+  let aw = 1 + Random.State.int st 2 in
+  let dw = 1 + Random.State.int st 3 in
+  let wports = 1 + Random.State.int st 2 in
+  let rports = 1 + Random.State.int st 2 in
+  let const8 () = Random.State.int st 8 in
+  {
+    id;
+    style = Saturating;
+    cw;
+    limit;
+    aw;
+    dw;
+    wports;
+    rports;
+    arbitrary = Random.State.int st 4 = 0;
+    wconsts = Array.init wports (fun _ -> const8 ());
+    dconsts = Array.init wports (fun _ -> const8 ());
+    rconsts = Array.init rports (fun _ -> const8 ());
+    en_bit = (if Random.State.bool st then Some (Random.State.int st cw) else None);
     prop_on_acc = false;
     target = Random.State.int st (1 lsl dw);
   }
@@ -175,8 +212,41 @@ let build_latch_poor cfg =
     (Netlist.not_ (Hdl.eq_const ctx (List.hd rds) cfg.target));
   Hdl.netlist ctx
 
+let build_saturating cfg =
+  let ctx = Hdl.create () in
+  let init = if cfg.arbitrary then Netlist.Arbitrary else Netlist.Zeros in
+  let mem = Hdl.memory ctx ~name:"m" ~addr_width:cfg.aw ~data_width:cfg.dw ~init in
+  let cnt = Hdl.reg ctx "cnt" ~width:cfg.cw in
+  let counting = Netlist.not_ (Hdl.eq_const ctx cnt cfg.limit) in
+  Hdl.connect ctx cnt (Hdl.mux2 ctx counting (Hdl.incr ctx cnt) cnt);
+  let addr_of c =
+    Hdl.xor_v ctx (Hdl.uresize cnt ~width:cfg.aw) (Hdl.const ~width:cfg.aw c)
+  in
+  let data_of c =
+    Hdl.uresize (Hdl.xor_v ctx cnt (Hdl.const ~width:cfg.cw c)) ~width:cfg.dw
+  in
+  let en0 =
+    match cfg.en_bit with None -> Netlist.true_ | Some b -> Hdl.bit_of cnt b
+  in
+  for w = 0 to cfg.wports - 1 do
+    let port = if w = 0 then en0 else Netlist.not_ en0 in
+    let enable = (Hdl.and_v ctx [| counting |] [| port |]).(0) in
+    Hdl.write_port ctx mem ~addr:(addr_of cfg.wconsts.(w)) ~data:(data_of cfg.dconsts.(w))
+      ~enable
+  done;
+  let rds =
+    List.init cfg.rports (fun r ->
+        Hdl.read_port ctx mem ~addr:(addr_of cfg.rconsts.(r)) ~enable:Netlist.true_)
+  in
+  Hdl.assert_always ctx "p"
+    (Netlist.not_ (Hdl.eq_const ctx (List.hd rds) cfg.target));
+  Hdl.netlist ctx
+
 let build cfg =
-  match cfg.style with Classic -> build_classic cfg | Latch_poor -> build_latch_poor cfg
+  match cfg.style with
+  | Classic -> build_classic cfg
+  | Latch_poor -> build_latch_poor cfg
+  | Saturating -> build_saturating cfg
 
 (* Ground truth on a closed design: first frame (after-step convention, as in
    [Bmc.Trace.property_values]) at which the property fails, within the

@@ -17,7 +17,11 @@
      predicates, and proved depths / proof verdicts must agree with the
      explicit expansion's sound latch-level loop-free-path proofs.  A
      mutation sweep disables the predicates and asserts the battery notices
-     the resulting over-proofs. *)
+     the resulting over-proofs.
+
+   A third group, the BDD oracle, reuses the shrinker with a predicate of
+   its own: exact reachability judges the EMM verdicts of the classic,
+   latch-poor and saturating seeds from outside the engine. *)
 
 open Diffgen
 
@@ -165,20 +169,29 @@ let rec shrink ~mismatch state =
 let cfg_to_string c =
   let arr a = String.concat "; " (List.map string_of_int (Array.to_list a)) in
   Printf.sprintf
-    "{ style = %s; cw = %d; aw = %d; dw = %d; wports = %d; rports = %d; \
-     arbitrary = %b; wconsts = [| %s |]; dconsts = [| %s |]; rconsts = [| %s \
-     |]; en_bit = %s; prop_on_acc = %b; target = %d }"
-    (match c.style with Classic -> "Classic" | Latch_poor -> "Latch_poor")
-    c.cw c.aw c.dw c.wports c.rports c.arbitrary (arr c.wconsts) (arr c.dconsts)
+    "{ style = %s; cw = %d; limit = %d; aw = %d; dw = %d; wports = %d; rports \
+     = %d; arbitrary = %b; wconsts = [| %s |]; dconsts = [| %s |]; rconsts = \
+     [| %s |]; en_bit = %s; prop_on_acc = %b; target = %d }"
+    (match c.style with
+    | Classic -> "Classic"
+    | Latch_poor -> "Latch_poor"
+    | Saturating -> "Saturating")
+    c.cw c.limit c.aw c.dw c.wports c.rports c.arbitrary (arr c.wconsts)
+    (arr c.dconsts)
     (arr c.rconsts)
     (match c.en_bit with None -> "None" | Some b -> Printf.sprintf "Some %d" b)
     c.prop_on_acc c.target
 
-(* On a sweep failure, shrink to a minimal reproducer, print it, and — when
+(* On a sweep failure, shrink to a minimal reproducer of [mismatch] (the
+   four-way comparison unless given), print it, and — when
    [DIFFGEN_REPRO_FILE] is set (the CI battery job does this) — also write
    it to that file so it survives as a build artifact. *)
-let fail_with_reproducer ~sweep ~proofs ~depth cfg reason =
-  let mismatch (c, d) = design_mismatch ~depth:d ~proofs c in
+let fail_with_reproducer ?mismatch ~sweep ~proofs ~depth cfg reason =
+  let mismatch =
+    match mismatch with
+    | Some m -> m
+    | None -> fun (c, d) -> design_mismatch ~depth:d ~proofs c
+  in
   let mcfg, mdepth = shrink ~mismatch (cfg, depth) in
   let mreason = Option.value ~default:reason (mismatch (mcfg, mdepth)) in
   let text =
@@ -304,6 +317,132 @@ let test_overproof_regression () =
   | v ->
     Alcotest.failf "expected a bogus forward-diameter proof, got %s" (signature v)
 
+(* {2 The BDD proof oracle}
+
+   The batteries above compare EMM with the explicit expansion, but both
+   verdicts come out of [Bmc.Engine]'s termination logic: a bug in the
+   loop-free-path constraints or the induction query would make both sides
+   over-prove alike.  [Bddmc] computes the exact reachable set of the
+   explicit expansion by BDD image iteration and shares no code with the
+   engine, the unroller, EMM or the solver, so it judges every EMM verdict
+   from the outside (an explicit-state oracle in the spirit of Qadeer's
+   checking of sequential consistency):
+
+   - a proof must be [Safe s]; a forward-diameter proof at depth [d] bounds
+     the longest loop-free path below [d], and with it the reachability
+     depth: [s < d];
+   - a counterexample at depth [k] must be [Unsafe k] (BMC finds the
+     shortest one, as image iteration does);
+   - [Bounded_safe d] must not meet [Unsafe k] with [k <= d]. *)
+
+let oracle_disagreement verdict (bdd : Bddmc.verdict) =
+  let fail why =
+    Some
+      (Format.asprintf "EMM %s, BDD %a: %s" (signature verdict) Bddmc.pp_verdict bdd
+         why)
+  in
+  match (verdict, bdd) with
+  | _, (Bddmc.Node_limit | Bddmc.Step_limit _) -> fail "the oracle gave no answer"
+  | Bmc.Engine.Proof _, Bddmc.Unsafe _ -> fail "proof of a reachable failure"
+  | Bmc.Engine.Proof { depth; kind = Bmc.Engine.Forward_diameter }, Bddmc.Safe s
+    when s >= depth ->
+    fail "forward diameter not above the reachability depth"
+  | Bmc.Engine.Proof _, Bddmc.Safe _ -> None
+  | Bmc.Engine.Counterexample t, Bddmc.Unsafe k when k = t.Bmc.Trace.depth -> None
+  | Bmc.Engine.Counterexample _, _ -> fail "counterexample not at the shortest failure"
+  | Bmc.Engine.Bounded_safe d, Bddmc.Unsafe k when k <= d ->
+    fail "reachable failure within the bound missed"
+  | Bmc.Engine.Bounded_safe _, _ -> None
+  | ( ( Bmc.Engine.Reasons_stable _ | Bmc.Engine.Timed_out _
+      | Bmc.Engine.Out_of_budget _ ),
+      _ ) ->
+    fail "inconclusive engine verdict"
+
+(* One design's EMM verdict and the oracle's judgment of it, with or
+   without the proof checks and the memory-state distinctness
+   predicates. *)
+let oracle_judgment ?(mem_distinct = true) ~proofs ~depth cfg =
+  let net = build cfg in
+  let config =
+    if proofs then { Bmc.Engine.default_config with max_depth = depth }
+    else { falsify_config with Bmc.Engine.max_depth = depth }
+  in
+  let emm, _ = Emm.check ~config ~mem_distinct net ~property:"p" in
+  let bdd = Bddmc.check (Explicitmem.expand net) ~property:"p" in
+  (emm.Bmc.Engine.verdict, oracle_disagreement emm.Bmc.Engine.verdict bdd.Bddmc.verdict)
+
+let oracle_mismatch ?mem_distinct ~proofs ~depth cfg =
+  snd (oracle_judgment ?mem_distinct ~proofs ~depth cfg)
+
+(* The 50 seeds of a style under the oracle; returns their EMM verdicts. *)
+let oracle_battery ~sweep ~proofs ~depth cfg_of =
+  List.init 50 (fun id ->
+      let cfg = cfg_of id in
+      let verdict, disagreement = oracle_judgment ~proofs ~depth cfg in
+      Option.iter
+        (fail_with_reproducer
+           ~mismatch:(fun (c, d) -> oracle_mismatch ~proofs ~depth:d c)
+           ~sweep ~proofs ~depth cfg)
+        disagreement;
+      verdict)
+
+let test_oracle_classic () =
+  List.iter
+    (fun proofs ->
+      ignore (oracle_battery ~sweep:"oracle classic" ~proofs ~depth:depth_bound random_cfg))
+    [ false; true ]
+
+let test_oracle_latch_poor () =
+  ignore
+    (oracle_battery ~sweep:"oracle latch-poor" ~proofs:true ~depth:latch_poor_depth
+       latch_poor_cfg)
+
+let saturating_depth = 20
+
+(* The saturating seeds exist for their forward-diameter proofs, the one
+   termination check the other batteries barely reach: the battery must
+   produce some, or it checks nothing the others do not. *)
+let test_oracle_saturating () =
+  let verdicts =
+    oracle_battery ~sweep:"oracle saturating" ~proofs:true ~depth:saturating_depth
+      saturating_cfg
+  in
+  let count p = List.length (List.filter p verdicts) in
+  let forward =
+    count (function
+      | Bmc.Engine.Proof { kind = Bmc.Engine.Forward_diameter; _ } -> true
+      | _ -> false)
+  in
+  let induction =
+    count (function
+      | Bmc.Engine.Proof { kind = Bmc.Engine.Backward_induction; _ } -> true
+      | _ -> false)
+  in
+  let cex = count (function Bmc.Engine.Counterexample _ -> true | _ -> false) in
+  Printf.printf
+    "saturating seeds: %d forward-diameter proofs, %d induction proofs, %d \
+     counterexamples\n%!"
+    forward induction cex;
+  Alcotest.(check bool) "some forward-diameter proof to check" true (forward > 0)
+
+(* The oracle's own mutation check: with the distinctness predicates off,
+   EMM over-proves on some latch-poor seeds, and the BDD verdict alone —
+   without the explicit expansion's BMC — must notice. *)
+let test_oracle_catches_mutation () =
+  let caught = ref 0 in
+  for id = 0 to 49 do
+    if
+      oracle_mismatch ~mem_distinct:false ~proofs:true ~depth:latch_poor_depth
+        (latch_poor_cfg id)
+      <> None
+    then incr caught
+  done;
+  if !caught = 0 then
+    Alcotest.fail
+      "the BDD oracle accepted every latch-poor verdict with the memory-state \
+       distinctness predicates disabled";
+  Printf.printf "BDD oracle caught the mutation on %d/50 latch-poor seeds\n%!" !caught
+
 (* The shrinker itself, against an artificial mismatch predicate whose
    failure region is known in closed form: "fails iff two write ports or
    depth >= 3".  From a maximal configuration the greedy pass must strip
@@ -319,6 +458,7 @@ let test_shrinker_converges () =
       id = -1;
       style = Classic;
       cw = 3;
+      limit = 0;
       aw = 2;
       dw = 3;
       wports = 2;
@@ -429,5 +569,17 @@ let () =
             `Quick test_latch_poor_mutation_detected;
           Alcotest.test_case "fixed over-proof regression (latch repeats, memory \
                               diverges)" `Quick test_overproof_regression;
+        ] );
+      (* Its own group as well: `test_differential.exe test oracle`. *)
+      ( "oracle",
+        [
+          Alcotest.test_case "classic seeds agree with BDD reachability" `Quick
+            test_oracle_classic;
+          Alcotest.test_case "latch-poor seeds agree with BDD reachability" `Quick
+            test_oracle_latch_poor;
+          Alcotest.test_case "saturating seeds agree with BDD reachability" `Quick
+            test_oracle_saturating;
+          Alcotest.test_case "BDD oracle alone catches disabled distinctness" `Quick
+            test_oracle_catches_mutation;
         ] );
     ]

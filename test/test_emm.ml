@@ -542,6 +542,32 @@ let test_distinct_counts_reported () =
   Alcotest.(check bool) "distinct_preds > 0" true (counts.Emm.distinct_preds > 0);
   Alcotest.(check bool) "distinct_clauses > 0" true (counts.Emm.distinct_clauses > 0)
 
+(* Loop-free-path constraints come on demand, for the frame pairs a model
+   repeats: quicksort-n3 P1 still proves at forward diameter 32, and its
+   constrained pairs are fewer than a tenth of the 528 pairs among frames
+   0..32 that the eager encoding constrained. *)
+let test_lfp_pairs_on_demand () =
+  let recorder = Obs.create ~track_alloc:false () in
+  let prev = Obs.current () in
+  Obs.set_current (Some recorder);
+  let result, _ =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_current prev)
+      (fun () ->
+        Emm.check
+          ~config:{ Bmc.Engine.default_config with max_depth = 40 }
+          (Designs.Quicksort.build (Designs.Quicksort.default_config ~n:3))
+          ~property:"P1")
+  in
+  Alcotest.(check string) "verdict" "diameter@32" (proof_sig result.Bmc.Engine.verdict);
+  let pairs = Obs.counter_total recorder "bmc.lfp_pairs" in
+  let rounds = Obs.counter_total recorder "bmc.lfp_rounds" in
+  Printf.printf "quicksort-n3 P1: %.0f pairs constrained in %.0f refinement rounds\n%!"
+    pairs rounds;
+  Alcotest.(check bool) "some pair constrained" true (pairs > 0.0);
+  Alcotest.(check bool) "under a tenth of the eager pairs" true (pairs < 53.0);
+  Alcotest.(check bool) "some re-solve" true (rounds > 0.0)
+
 (* {2 Phantom reads shared with real reads}
 
    The distinctness machinery needs the word a write port's target location
@@ -633,6 +659,8 @@ let () =
             test_pinned_pure_memory;
           Alcotest.test_case "distinctness telemetry in counts" `Quick
             test_distinct_counts_reported;
+          Alcotest.test_case "loop-free-path pairs on demand" `Quick
+            test_lfp_pairs_on_demand;
           Alcotest.test_case "phantom read shared with an enabled read" `Quick
             test_phantom_shared_with_read;
           Alcotest.test_case "phantom read kept beside a gated read" `Quick

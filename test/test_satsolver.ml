@@ -426,6 +426,23 @@ let test_deadline_on_obs_clock () =
       Solver.set_deadline s None;
       Alcotest.(check bool) "usable after the timeout" true (Solver.solve s = Solver.Unsat))
 
+(* The deadline also binds a search that makes no conflict: 10,000
+   independent clauses [(a_i \/ b_i)] take thousands of decisions and not
+   one conflict, so only the check on the decision count can stop it. *)
+let test_deadline_without_conflicts () =
+  let s =
+    solver_of (List.init 10_000 (fun i -> [ lit (2 * i) true; lit ((2 * i) + 1) true ]))
+  in
+  Solver.set_deadline s (Some (Obs.now () -. 1.0));
+  (match Solver.solve s with
+  | exception Solver.Timeout -> ()
+  | _ -> Alcotest.fail "expired deadline ignored by a conflict-free search");
+  Alcotest.(check int) "no conflict made" 0 (Solver.stats s).Solver.conflicts;
+  Alcotest.(check int) "stopped at the first decision check" 4096
+    (Solver.stats s).Solver.decisions;
+  Solver.set_deadline s None;
+  Alcotest.(check bool) "usable after the timeout" true (Solver.solve s = Solver.Sat)
+
 (* The learnt-DB memory budget trips on its periodic check and leaves the
    solver usable: lifting it lets the same instance finish. *)
 let test_learnt_budget () =
@@ -612,6 +629,8 @@ let () =
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
           Alcotest.test_case "deadline on the obs clock" `Quick
             test_deadline_on_obs_clock;
+          Alcotest.test_case "deadline without conflicts" `Quick
+            test_deadline_without_conflicts;
           Alcotest.test_case "learnt-db memory budget" `Quick test_learnt_budget;
           Alcotest.test_case "reduction and compaction" `Quick
             test_reduction_and_compaction;
