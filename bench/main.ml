@@ -547,13 +547,6 @@ let pigeonhole_clauses pigeons holes =
   in
   (pigeons * holes, at_least_one @ at_most_one)
 
-let cache_status_cell (o : Emmver.outcome) =
-  match o.Emmver.cache with
-  | Emmver.Cache_off -> "off"
-  | Emmver.Cache_miss -> "miss"
-  | Emmver.Cache_hit -> "hit"
-  | Emmver.Cache_dedup -> "dedup"
-
 let json_row ~design ~property ~method_ ~verdict ~time_s ~solve_time_s
     ~encode_time_s ~num_vars ~num_clauses ~vars_saved ~clauses_saved
     ?(certificate = "unchecked") ?(proof_steps = 0) ?(cache = "off")
@@ -599,9 +592,7 @@ let read_baseline file =
 
 (* The (design, property, method) -> verdict map of the baseline's rows. *)
 let baseline_verdicts json =
-  let str name row =
-    match Obs.Json.member name row with Some (Obs.Json.Str s) -> Some s | _ -> None
-  in
+  let str = Obs.Json.str_field in
   match Obs.Json.member "rows" json with
   | Some (Obs.Json.Arr rows) ->
     List.filter_map
@@ -795,7 +786,8 @@ let cache_sweep () =
      "cold_status": %S, "warm_status": %S, "verdicts_agree": %b}|}
             design property
             (Emmver.method_to_string method_)
-            cold_s warm_s speedup (cache_status_cell cold) (cache_status_cell warm)
+            cold_s warm_s speedup (Emmver.cache_status_to_string cold.Emmver.cache)
+            (Emmver.cache_status_to_string warm.Emmver.cache)
             agree)
         cells
     in
@@ -993,7 +985,9 @@ let solver_json () =
            ~encode_time_s:o.Emmver.encode_time_s ~num_vars:o.Emmver.model_vars
            ~num_clauses:o.Emmver.model_clauses ~vars_saved:o.Emmver.vars_saved
            ~clauses_saved:o.Emmver.clauses_saved ~certificate
-           ~proof_steps:o.Emmver.proof_steps ~cache:(cache_status_cell o) s))
+           ~proof_steps:o.Emmver.proof_steps
+           ~cache:(Emmver.cache_status_to_string o.Emmver.cache)
+           s))
     solver_matrix matrix_outcomes;
   let matrix_cpu_s =
     List.fold_left (fun acc (_, t) -> acc +. t) 0.0 matrix_outcomes

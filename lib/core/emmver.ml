@@ -65,6 +65,12 @@ type conclusion =
 
 type cache_status = Cache_off | Cache_miss | Cache_hit | Cache_dedup
 
+let cache_status_to_string = function
+  | Cache_off -> "off"
+  | Cache_miss -> "miss"
+  | Cache_hit -> "hit"
+  | Cache_dedup -> "dedup"
+
 type outcome = {
   conclusion : conclusion;
   time_s : float;
@@ -593,11 +599,21 @@ let apply_budgets options (b : Policy.budgets) =
       (match b.Policy.learnt_mb with Some _ as m -> m | None -> options.learnt_mb_budget);
   }
 
+(* A conclusive verdict settles the property: a proof, or a counterexample
+   not known to be spurious.  [Inconclusive] and replay-refuted
+   counterexamples (the abstract engine's speciality) leave the race open. *)
+let conclusive o =
+  match o.conclusion with
+  | Proved _ -> true
+  | Falsified { genuine = Some false; _ } -> false
+  | Falsified _ -> true
+  | Inconclusive _ -> false
+
 (* How one engine attempt feeds the fallback chain: a refuted certificate or
    a resource-exhausted verdict is a failure (fall through / retry); a
    conclusive verdict wins; anything else is an honest inconclusive kept as
    the answer of last resort. *)
-let classify_outcome conclusive o =
+let classify_outcome o =
   match o.error with
   | Some e -> Policy.Failed e
   | None -> if conclusive o then Policy.Done o else Policy.Soft o
@@ -616,13 +632,6 @@ let verify_resilient ?(options = default_options) ?(policy = Policy.default) ?in
     | [] -> [ Emm_bmc ]
     | ms -> ms
   in
-  let conclusive o =
-    match o.conclusion with
-    | Proved _ -> true
-    | Falsified { genuine = Some false; _ } -> false
-    | Falsified _ -> true
-    | Inconclusive _ -> false
-  in
   let run method_ ~attempt =
     (* One forked worker per attempt: crash isolation, and a hook for the
        fault-injection tests to kill or poison the child. *)
@@ -635,7 +644,7 @@ let verify_resilient ?(options = default_options) ?(policy = Policy.default) ?in
         [ () ]
     in
     match results with
-    | [ Ok o ] -> classify_outcome conclusive o
+    | [ Ok o ] -> classify_outcome o
     | [ Error f ] -> Policy.Failed (error_of_failure f)
     | _ -> Policy.Failed (Policy.Worker_killed "no worker result")
   in
@@ -749,16 +758,6 @@ let verify_delta ?(options = default_options) ?(jobs = 1) ?job_timeout_s ~method
   in
   let outcomes = verify_many ~options ~jobs ?job_timeout_s ~method_ net ~properties in
   List.map2 (fun (p, st) (_, o) -> (p, st, o)) statuses outcomes
-
-(* A conclusive verdict settles the property: a proof, or a counterexample
-   not known to be spurious.  [Inconclusive] and replay-refuted
-   counterexamples (the abstract engine's speciality) leave the race open. *)
-let conclusive o =
-  match o.conclusion with
-  | Proved _ -> true
-  | Falsified { genuine = Some false; _ } -> false
-  | Falsified _ -> true
-  | Inconclusive _ -> false
 
 let default_portfolio = [ Emm_bmc; Explicit_bmc; Bdd_reach ]
 

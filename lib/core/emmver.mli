@@ -90,6 +90,10 @@ type cache_status =
       (** verdict transferred from a structurally identical property solved
           earlier in the same {!verify_many} batch *)
 
+val cache_status_to_string : cache_status -> string
+(** ["off"], ["miss"], ["hit"] or ["dedup"]: the spelling of the serve
+    protocol's [cache] field and of BENCH's cache column. *)
+
 type outcome = {
   conclusion : conclusion;
   time_s : float;

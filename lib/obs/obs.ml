@@ -307,164 +307,9 @@ let attr_int key attrs =
 
 let duration sp = sp.sp_stop -. sp.sp_start
 
-(* {2 Exporters} *)
+(* {2 JSON: the one reader and writer}
 
-type format = Jsonl | Chrome
-
-let format_of_path path =
-  if Filename.check_suffix path ".jsonl" then Jsonl else Chrome
-
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Buffer.add_char b '"';
-  escape_into b s;
-  Buffer.add_char b '"'
-
-(* Deterministic number rendering: integers without a fraction, everything
-   else with six significant digits. *)
-let add_num b (x : float) =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.6g" x)
-
-let add_value b = function
-  | Str s -> add_str b s
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> add_num b f
-  | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
-
-let add_attrs b attrs =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add_str b k;
-      Buffer.add_char b ':';
-      add_value b v)
-    attrs;
-  Buffer.add_char b '}'
-
-(* Timestamps: JSON-lines keeps the raw clock readings ("ts"); Chrome wants
-   microseconds ("ts" in us), which we make relative to the earliest row so
-   traces open at t=0 in Perfetto. *)
-let add_common b ~ph ~name ~ts ~pid =
-  Buffer.add_string b "{\"ph\":\"";
-  Buffer.add_string b ph;
-  Buffer.add_string b "\",\"name\":";
-  add_str b name;
-  Buffer.add_string b ",\"ts\":";
-  add_num b ts;
-  Buffer.add_string b ",\"pid\":";
-  Buffer.add_string b (string_of_int pid);
-  Buffer.add_string b ",\"tid\":";
-  Buffer.add_string b (string_of_int pid)
-
-let add_event b ~us_of (pid, ev) =
-  match ev with
-  | Begin { name; ts; attrs } ->
-    add_common b ~ph:"B" ~name ~ts:(us_of ts) ~pid;
-    if attrs <> [] then begin
-      Buffer.add_string b ",\"args\":";
-      add_attrs b attrs
-    end;
-    Buffer.add_char b '}'
-  | End { name; ts; alloc_words } ->
-    add_common b ~ph:"E" ~name ~ts:(us_of ts) ~pid;
-    Buffer.add_string b ",\"args\":{\"alloc_words\":";
-    add_num b alloc_words;
-    Buffer.add_string b "}}"
-  | Count { name; ts; value } ->
-    add_common b ~ph:"C" ~name ~ts:(us_of ts) ~pid;
-    Buffer.add_string b ",\"args\":{\"value\":";
-    add_num b value;
-    Buffer.add_string b "}}"
-  | Instant { name; ts; attrs } ->
-    add_common b ~ph:"i" ~name ~ts:(us_of ts) ~pid;
-    Buffer.add_string b ",\"s\":\"t\"";
-    if attrs <> [] then begin
-      Buffer.add_string b ",\"args\":";
-      add_attrs b attrs
-    end;
-    Buffer.add_char b '}'
-
-let export fmt b rows =
-  match fmt with
-  | Jsonl ->
-    List.iter
-      (fun row ->
-        add_event b ~us_of:Fun.id row;
-        Buffer.add_char b '\n')
-      rows
-  | Chrome ->
-    let base =
-      List.fold_left (fun acc (_, ev) -> Float.min acc (ts_of ev)) infinity rows
-    in
-    let base = if base = infinity then 0.0 else base in
-    let us_of ts =
-      (* Round to a tenth of a microsecond: deterministic and far below
-         the clock's own resolution. *)
-      Float.round ((ts -. base) *. 1e7) /. 10.0
-    in
-    Buffer.add_string b "{\"traceEvents\":[";
-    List.iteri
-      (fun i row ->
-        Buffer.add_string b (if i = 0 then "\n" else ",\n");
-        add_event b ~us_of row)
-      rows;
-    Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let write_file ?format path t =
-  let fmt = match format with Some f -> f | None -> format_of_path path in
-  let b = Buffer.create 65536 in
-  export fmt b (rows t);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc b)
-
-(* {2 Trace-file plumbing} *)
-
-let trace_env_var = "EMMVER_TRACE"
-
-let run_with_trace ?clock ?out ~label f =
-  let out =
-    match out with Some _ -> out | None -> Sys.getenv_opt trace_env_var
-  in
-  match out with
-  | None | Some "" -> f ()
-  | Some path ->
-    let r = create ?clock () in
-    set_current (Some r);
-    let written = ref false in
-    let write () =
-      if not !written then begin
-        written := true;
-        (match current () with
-        | Some r' when r' == r -> set_current None
-        | Some _ | None -> ());
-        close_open_spans r;
-        try write_file path r with Sys_error _ -> ()
-      end
-    in
-    (* The CLI exits from inside [f]; the hook makes sure the trace still
-       lands on disk. *)
-    at_exit write;
-    Fun.protect (fun () -> span label f) ~finally:write
-
-(* {2 A minimal JSON reader} *)
+   Defined ahead of the exporters, which write through it. *)
 
 module Json = struct
   type t =
@@ -623,4 +468,195 @@ module Json = struct
   let member key = function
     | Obj kvs -> List.assoc_opt key kvs
     | Null | Bool _ | Num _ | Str _ | Arr _ -> None
+
+  (* {3 Field readers} *)
+
+  let str_field name o = match member name o with Some (Str s) -> Some s | _ -> None
+  let num_field name o = match member name o with Some (Num n) -> Some n | _ -> None
+  let int_field name o = Option.map int_of_float (num_field name o)
+  let bool_field name o = match member name o with Some (Bool v) -> Some v | _ -> None
+
+  let required name = function
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
+
+  (* {3 Writer} *)
+
+  (* Runs of bytes that need no escaping are copied whole. *)
+  let add_string b s =
+    Buffer.add_char b '"';
+    let run = ref 0 in
+    for i = 0 to String.length s - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || c < ' ' then begin
+        Buffer.add_substring b s !run (i - !run);
+        Buffer.add_string b
+          (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | c -> Printf.sprintf "\\u%04x" (Char.code c));
+        run := i + 1
+      end
+    done;
+    Buffer.add_substring b s !run (String.length s - !run);
+    Buffer.add_char b '"'
+
+  let str s b = add_string b s
+  let int n b = Buffer.add_string b (string_of_int n)
+  let bool v b = Buffer.add_string b (if v then "true" else "false")
+  let fixed3 x b = Buffer.add_string b (Printf.sprintf "%.3f" x)
+  let exact x b = Buffer.add_string b (Printf.sprintf "%.17g" x)
+
+  let list f xs b =
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        f x b)
+      xs;
+    Buffer.add_char b ']'
+
+  let obj fields b =
+    Buffer.add_char b '{';
+    fields b;
+    Buffer.add_char b '}'
+
+  (* Inside [obj], a field follows either the opening brace or a complete
+     value, so the byte before it says whether a comma is due. *)
+  let add_field b name v =
+    if Buffer.nth b (Buffer.length b - 1) <> '{' then Buffer.add_char b ',';
+    add_string b name;
+    Buffer.add_char b ':';
+    v b
+
+  let opt b name v = function Some x -> add_field b name (v x) | None -> ()
+
+  let to_string v =
+    let b = Buffer.create 128 in
+    v b;
+    Buffer.contents b
 end
+
+(* {2 Exporters} *)
+
+type format = Jsonl | Chrome
+
+let format_of_path path =
+  if Filename.check_suffix path ".jsonl" then Jsonl else Chrome
+
+(* Deterministic number rendering: integers without a fraction, everything
+   else with six significant digits. *)
+let num (x : float) b =
+  if Float.is_integer x && Float.abs x < 1e15 then
+    Buffer.add_string b (Printf.sprintf "%.0f" x)
+  else Buffer.add_string b (Printf.sprintf "%.6g" x)
+
+let value = function
+  | Str s -> Json.str s
+  | Int i -> Json.int i
+  | Float f -> num f
+  | Bool v -> Json.bool v
+
+(* Timestamps: JSON-lines keeps the raw clock readings ("ts"); Chrome wants
+   microseconds ("ts" in us), which we make relative to the earliest row so
+   traces open at t=0 in Perfetto. *)
+let add_event b ~us_of (pid, ev) =
+  let common ph name ts b =
+    Json.add_field b "ph" (Json.str ph);
+    Json.add_field b "name" (Json.str name);
+    Json.add_field b "ts" (num (us_of ts));
+    Json.add_field b "pid" (Json.int pid);
+    Json.add_field b "tid" (Json.int pid)
+  in
+  let args attrs b =
+    if attrs <> [] then
+      Json.add_field b "args"
+        (Json.obj (fun b -> List.iter (fun (k, v) -> Json.add_field b k (value v)) attrs))
+  in
+  let arg name x b =
+    Json.add_field b "args" (Json.obj (fun b -> Json.add_field b name (num x)))
+  in
+  Json.obj
+    (fun b ->
+      match ev with
+      | Begin { name; ts; attrs } ->
+        common "B" name ts b;
+        args attrs b
+      | End { name; ts; alloc_words } ->
+        common "E" name ts b;
+        arg "alloc_words" alloc_words b
+      | Count { name; ts; value } ->
+        common "C" name ts b;
+        arg "value" value b
+      | Instant { name; ts; attrs } ->
+        common "i" name ts b;
+        Json.add_field b "s" (Json.str "t");
+        args attrs b)
+    b
+
+let export fmt b rows =
+  match fmt with
+  | Jsonl ->
+    List.iter
+      (fun row ->
+        add_event b ~us_of:Fun.id row;
+        Buffer.add_char b '\n')
+      rows
+  | Chrome ->
+    let base =
+      List.fold_left (fun acc (_, ev) -> Float.min acc (ts_of ev)) infinity rows
+    in
+    let base = if base = infinity then 0.0 else base in
+    let us_of ts =
+      (* Round to a tenth of a microsecond: deterministic and far below
+         the clock's own resolution. *)
+      Float.round ((ts -. base) *. 1e7) /. 10.0
+    in
+    Buffer.add_string b "{\"traceEvents\":[";
+    List.iteri
+      (fun i row ->
+        Buffer.add_string b (if i = 0 then "\n" else ",\n");
+        add_event b ~us_of row)
+      rows;
+    Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n"
+
+let write_file ?format path t =
+  let fmt = match format with Some f -> f | None -> format_of_path path in
+  let b = Buffer.create 65536 in
+  export fmt b (rows t);
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Buffer.output_buffer oc b)
+
+(* {2 Trace-file plumbing} *)
+
+let trace_env_var = "EMMVER_TRACE"
+
+let run_with_trace ?clock ?out ~label f =
+  let out =
+    match out with Some _ -> out | None -> Sys.getenv_opt trace_env_var
+  in
+  match out with
+  | None | Some "" -> f ()
+  | Some path ->
+    let r = create ?clock () in
+    set_current (Some r);
+    let written = ref false in
+    let write () =
+      if not !written then begin
+        written := true;
+        (match current () with
+        | Some r' when r' == r -> set_current None
+        | Some _ | None -> ());
+        close_open_spans r;
+        try write_file path r with Sys_error _ -> ()
+      end
+    in
+    (* The CLI exits from inside [f]; the hook makes sure the trace still
+       lands on disk. *)
+    at_exit write;
+    Fun.protect (fun () -> span label f) ~finally:write

@@ -229,12 +229,25 @@ val run_with_trace : ?clock:Clock.t -> ?out:string -> label:string -> (unit -> '
     [exit] (an [at_exit] hook covers the latter; open spans are closed
     first).  Otherwise exactly [f ()]. *)
 
-(** {1 A minimal JSON reader}
+(** {1 JSON}
 
-    Just enough JSON to parse traces back in the golden tests and the CI
-    guard — not a general-purpose implementation. *)
+    The platform's one JSON codec.  The serve wire protocol and its
+    journal, vcache entries and the trace exporters above are written and
+    read through this module, and BENCH baselines are read with it.  The
+    writer is canonical — a value has exactly one rendering, in the field
+    order its caller writes — so each of those formats can be pinned by
+    byte-exact golden tests.  Numbers have no single rule: the wire and
+    the journal write floats with {!Json.fixed3}, vcache entries with
+    {!Json.exact} (a float reads back bit for bit), and the trace
+    exporters keep their own integer-or-six-digits rule. *)
 
 module Json : sig
+  (** {2 Reading}
+
+      A small recursive-descent reader, not a general-purpose
+      implementation: [\u] escapes above ASCII decode to ['?'] (no writer
+      here emits them). *)
+
   type t =
     | Null
     | Bool of bool
@@ -245,4 +258,61 @@ module Json : sig
 
   val parse : string -> (t, string) result
   val member : string -> t -> t option
+
+  (** {2 Field readers}
+
+      [None] when the field is absent or has the wrong type, so an
+      ill-typed optional field reads as absent. *)
+
+  val str_field : string -> t -> string option
+  val num_field : string -> t -> float option
+
+  val int_field : string -> t -> int option
+  (** A number field, truncated to an int. *)
+
+  val bool_field : string -> t -> bool option
+
+  val required : string -> 'a option -> ('a, string) result
+  (** [required name v]: [v]'s value, or an error naming the missing or
+      ill-typed field [name]. *)
+
+  (** {2 Writing}
+
+      A value writer has type [Buffer.t -> unit]: [int 3], [str s] and
+      [obj (fun b -> add_field b "k" (int 3))] are writers.  Objects are
+      written by {!obj} and their fields by {!add_field}, which places the
+      commas itself. *)
+
+  val add_string : Buffer.t -> string -> unit
+  (** A quoted string.  The double quote, the backslash and the bytes
+      below 0x20 are escaped: newline, carriage return and tab by their
+      two-byte escapes, the other control bytes as [\u00XX].  Every other
+      byte is copied as is, in runs. *)
+
+  val str : string -> Buffer.t -> unit
+  val int : int -> Buffer.t -> unit
+  val bool : bool -> Buffer.t -> unit
+
+  val fixed3 : float -> Buffer.t -> unit
+  (** [%.3f]: the wire protocol's and the journal's float. *)
+
+  val exact : float -> Buffer.t -> unit
+  (** [%.17g]: vcache's float, which reads back to the same float. *)
+
+  val list : ('a -> Buffer.t -> unit) -> 'a list -> Buffer.t -> unit
+  (** A JSON array of the elements, each written by the given writer. *)
+
+  val obj : (Buffer.t -> unit) -> Buffer.t -> unit
+  (** A JSON object whose fields the function writes with {!add_field}
+      and {!opt}. *)
+
+  val add_field : Buffer.t -> string -> (Buffer.t -> unit) -> unit
+  (** [add_field b name v] writes one field of the enclosing {!obj}. *)
+
+  val opt : Buffer.t -> string -> ('a -> Buffer.t -> unit) -> 'a option -> unit
+  (** [opt b name v x]: the field when [x] is [Some _], nothing when it is
+      [None]. *)
+
+  val to_string : (Buffer.t -> unit) -> string
+  (** Run a writer on a fresh buffer. *)
 end

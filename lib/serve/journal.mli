@@ -17,44 +17,24 @@
     state, and {!open_} itself compacts, so a journal that crashed during
     compaction or grew a corrupt tail is clean again after one open. *)
 
-type submit = {
-  a_job : int;  (** daemon-assigned job id, reused verbatim at recovery *)
-  a_tenant : string;  (** the [hello] client name the job belongs to *)
-  a_req : string;  (** the client's request id (echoed in results) *)
-  a_design : string;
-  a_property : string;
-  a_method : string;
-  a_max_depth : int option;
-  a_timeout_s : float option;
-  a_cache : bool option;
-}
-(** Everything needed to re-create the job after a restart. *)
-
-type result = {
-  f_job : int;
-  f_tenant : string;
-  f_req : string;
-  f_property : string;
-  f_method : string;
-  f_verdict : string;
-  f_depth : int option;
-  f_induction : bool option;
-  f_genuine : bool option;
-  f_reason : string option;
-  f_time_s : float;
-  f_cache : string;
-  f_certificate : string;
-}
-(** A completed result, field-for-field what the wire [result] line
-    carries, plus the owning tenant. *)
-
+(** A journal record.  The [accepted] and [result] records are the wire
+    protocol's own records ([Proto.submit], [Proto.result_line]) plus the
+    tenant that owns them, written with the protocol's codec: after the
+    record's [rec], [job], [tenant] and [req] fields come the fields the
+    wire message carries, in the wire's order.  Unlike the wire, the reader
+    requires an [accepted] record's [property] and [method]. *)
 type record =
-  | Accepted of submit
+  | Accepted of { a_job : int; a_tenant : string; a_submit : Proto.submit }
+      (** everything needed to re-create the job after a restart: the
+          daemon-assigned job id (reused verbatim at recovery), the tenant
+          the job belongs to, and the submission narrowed to the job's one
+          property ([a_submit.s_id] is the client's request id) *)
   | Started of { job : int; pid : int; token : string }
       (** [token] is {!Parallel.process_token} of the worker, recorded so
           a restarted daemon can SIGKILL the orphan without trusting a
           possibly-recycled pid *)
-  | Finished of result
+  | Finished of { f_tenant : string; f_line : Proto.result_line }
+      (** a completed result: the wire [result] line and its tenant *)
   | Acked of { job : int }  (** the client confirmed delivery *)
   | Cancelled of { job : int }  (** the job will never run (abandoned) *)
 
@@ -63,11 +43,14 @@ type t
     projection and dead-line accounting). *)
 
 type recovery = {
-  pending : submit list;  (** accepted, no result yet — re-enqueue these *)
+  pending : (int * string * Proto.submit) list;
+      (** [(job, tenant, submission)] accepted, no result yet — re-enqueue
+          these *)
   orphans : (int * int * string) list;
       (** [(job, pid, token)] for pending jobs that were mid-run: feed to
           {!Parallel.reap_orphan} before re-running them *)
-  undelivered : result list;  (** completed but never acked — retain these *)
+  undelivered : (string * Proto.result_line) list;
+      (** [(tenant, result)] completed but never acked — retain these *)
   next_job : int;  (** 1 + highest job id ever journalled *)
   replayed : int;  (** valid records read back *)
   corrupt : int;  (** lines skipped (bad checksum, torn tail, bad JSON) *)
@@ -114,4 +97,3 @@ val path : t -> string
 
 (* Exposed for tests: the exact byte form of one journal line. *)
 val line_of_record : record -> string
-val record_to_json : record -> string

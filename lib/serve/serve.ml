@@ -34,542 +34,8 @@ let load_design name =
    (the library is wrapped; [Journal] alone is internal). *)
 module Journal = Journal
 
-(* {1 Wire protocol} *)
-
-module Proto = struct
-  type submit = {
-    s_id : string;
-    s_design : string;
-    s_property : string option;
-    s_method : string;
-    s_max_depth : int option;
-    s_timeout_s : float option;
-    s_cache : bool option;
-  }
-
-  type request =
-    | Hello of string
-    | Ping
-    | Submit of submit
-    | Poll of int
-    | Resume of string
-    | Ack of int
-    | Metrics
-    | Shutdown
-
-  type result_line = {
-    r_job : int;
-    r_id : string;
-    r_property : string;
-    r_method : string;
-    r_verdict : string;
-    r_depth : int option;
-    r_induction : bool option;
-    r_genuine : bool option;
-    r_reason : string option;
-    r_time_s : float;
-    r_cache : string;
-    r_certificate : string;
-  }
-
-  type metrics_line = {
-    m_uptime_s : float;
-    m_queue_depth : int;
-    m_running : int;
-    m_clients : int;
-    m_accepted : int;
-    m_completed : int;
-    m_failed : int;
-    m_cancelled : int;
-    m_rejected_busy : int;
-    m_rejected_shutdown : int;
-    m_protocol_errors : int;
-    m_cache_hits : int;
-    m_cache_misses : int;
-    m_cache_entries : int;
-    m_cache_bytes : int;
-    m_gc_runs : int;
-    m_gc_evicted : int;
-    m_journal_records : int;
-    m_journal_bytes : int;
-    m_compactions : int;
-    m_replayed : int;
-    m_recovered : int;
-    m_orphans_killed : int;
-    m_redelivered : int;
-    m_acked : int;
-    m_retained : int;
-    m_methods : (string * int * float) list;
-  }
-
-  type reply =
-    | Hello_ok of { server : string; version : int }
-    | Pong
-    | Accepted of { id : string; jobs : (int * string) list; queue_depth : int }
-    | Busy of {
-        id : string;
-        queue_depth : int;
-        max_queue : int;
-        retry_after_s : float;
-      }
-    | Shutdown_reply of {
-        id : string;
-        job : int option;
-        retry_after_s : float option;
-      }
-    | Error of { id : string option; message : string }
-    | Result of result_line
-    | Status of { job : int; state : string }
-    | Resumed of { client : string; results : int; pending : int }
-    | Acked of { job : int }
-    | Metrics_reply of metrics_line
-    | Draining
-
-  (* {2 Rendering}
-
-     Field order and number format are fixed: the protocol golden tests
-     compare rendered bytes against recorded transcripts, so any drift
-     here breaks CI before it breaks a deployed client.  Times travel with
-     millisecond precision — plenty for wall clocks, and deterministic. *)
-
-  let add_jstring b s =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-
-  let add_field b ~first name f =
-    if not first then Buffer.add_char b ',';
-    add_jstring b name;
-    Buffer.add_char b ':';
-    f b
-
-  let jint n b = Buffer.add_string b (string_of_int n)
-  let jfloat x b = Buffer.add_string b (Printf.sprintf "%.3f" x)
-  let jbool v b = Buffer.add_string b (if v then "true" else "false")
-  let jstr s b = add_jstring b s
-
-  let render f =
-    let b = Buffer.create 128 in
-    Buffer.add_char b '{';
-    f b;
-    Buffer.add_char b '}';
-    Buffer.contents b
-
-  let request_to_string = function
-    | Hello client ->
-      render (fun b ->
-          add_field b ~first:true "op" (jstr "hello");
-          add_field b ~first:false "client" (jstr client))
-    | Ping -> render (fun b -> add_field b ~first:true "op" (jstr "ping"))
-    | Submit s ->
-      render (fun b ->
-          add_field b ~first:true "op" (jstr "submit");
-          add_field b ~first:false "id" (jstr s.s_id);
-          add_field b ~first:false "design" (jstr s.s_design);
-          (match s.s_property with
-          | Some p -> add_field b ~first:false "property" (jstr p)
-          | None -> ());
-          add_field b ~first:false "method" (jstr s.s_method);
-          (match s.s_max_depth with
-          | Some d -> add_field b ~first:false "max_depth" (jint d)
-          | None -> ());
-          (match s.s_timeout_s with
-          | Some t -> add_field b ~first:false "timeout_s" (jfloat t)
-          | None -> ());
-          (match s.s_cache with
-          | Some c -> add_field b ~first:false "cache" (jbool c)
-          | None -> ()))
-    | Poll job ->
-      render (fun b ->
-          add_field b ~first:true "op" (jstr "poll");
-          add_field b ~first:false "job" (jint job))
-    | Resume client ->
-      render (fun b ->
-          add_field b ~first:true "op" (jstr "resume");
-          add_field b ~first:false "client" (jstr client))
-    | Ack job ->
-      render (fun b ->
-          add_field b ~first:true "op" (jstr "ack");
-          add_field b ~first:false "job" (jint job))
-    | Metrics -> render (fun b -> add_field b ~first:true "op" (jstr "metrics"))
-    | Shutdown -> render (fun b -> add_field b ~first:true "op" (jstr "shutdown"))
-
-  let reply_to_string = function
-    | Hello_ok { server; version } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "hello");
-          add_field b ~first:false "server" (jstr server);
-          add_field b ~first:false "version" (jint version))
-    | Pong -> render (fun b -> add_field b ~first:true "reply" (jstr "pong"))
-    | Accepted { id; jobs; queue_depth } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "accepted");
-          add_field b ~first:false "id" (jstr id);
-          add_field b ~first:false "jobs" (fun b ->
-              Buffer.add_char b '[';
-              List.iteri
-                (fun i (job, property) ->
-                  if i > 0 then Buffer.add_char b ',';
-                  Buffer.add_char b '{';
-                  add_field b ~first:true "job" (jint job);
-                  add_field b ~first:false "property" (jstr property);
-                  Buffer.add_char b '}')
-                jobs;
-              Buffer.add_char b ']');
-          add_field b ~first:false "queue_depth" (jint queue_depth))
-    | Busy { id; queue_depth; max_queue; retry_after_s } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "busy");
-          add_field b ~first:false "id" (jstr id);
-          add_field b ~first:false "queue_depth" (jint queue_depth);
-          add_field b ~first:false "max_queue" (jint max_queue);
-          add_field b ~first:false "retry_after_s" (jfloat retry_after_s))
-    | Shutdown_reply { id; job; retry_after_s } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "shutdown");
-          add_field b ~first:false "id" (jstr id);
-          (match job with
-          | Some j -> add_field b ~first:false "job" (jint j)
-          | None -> ());
-          match retry_after_s with
-          | Some s -> add_field b ~first:false "retry_after_s" (jfloat s)
-          | None -> ())
-    | Error { id; message } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "error");
-          (match id with
-          | Some id -> add_field b ~first:false "id" (jstr id)
-          | None -> ());
-          add_field b ~first:false "message" (jstr message))
-    | Result r ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "result");
-          add_field b ~first:false "job" (jint r.r_job);
-          add_field b ~first:false "id" (jstr r.r_id);
-          add_field b ~first:false "property" (jstr r.r_property);
-          add_field b ~first:false "method" (jstr r.r_method);
-          add_field b ~first:false "verdict" (jstr r.r_verdict);
-          (match r.r_depth with
-          | Some d -> add_field b ~first:false "depth" (jint d)
-          | None -> ());
-          (match r.r_induction with
-          | Some i -> add_field b ~first:false "induction" (jbool i)
-          | None -> ());
-          (match r.r_genuine with
-          | Some g -> add_field b ~first:false "genuine" (jbool g)
-          | None -> ());
-          (match r.r_reason with
-          | Some why -> add_field b ~first:false "reason" (jstr why)
-          | None -> ());
-          add_field b ~first:false "time_s" (jfloat r.r_time_s);
-          add_field b ~first:false "cache" (jstr r.r_cache);
-          add_field b ~first:false "certificate" (jstr r.r_certificate))
-    | Status { job; state } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "status");
-          add_field b ~first:false "job" (jint job);
-          add_field b ~first:false "state" (jstr state))
-    | Resumed { client; results; pending } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "resumed");
-          add_field b ~first:false "client" (jstr client);
-          add_field b ~first:false "results" (jint results);
-          add_field b ~first:false "pending" (jint pending))
-    | Acked { job } ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "acked");
-          add_field b ~first:false "job" (jint job))
-    | Metrics_reply m ->
-      render (fun b ->
-          add_field b ~first:true "reply" (jstr "metrics");
-          add_field b ~first:false "uptime_s" (jfloat m.m_uptime_s);
-          add_field b ~first:false "queue_depth" (jint m.m_queue_depth);
-          add_field b ~first:false "running" (jint m.m_running);
-          add_field b ~first:false "clients" (jint m.m_clients);
-          add_field b ~first:false "jobs" (fun b ->
-              Buffer.add_char b '{';
-              add_field b ~first:true "accepted" (jint m.m_accepted);
-              add_field b ~first:false "completed" (jint m.m_completed);
-              add_field b ~first:false "failed" (jint m.m_failed);
-              add_field b ~first:false "cancelled" (jint m.m_cancelled);
-              add_field b ~first:false "rejected_busy" (jint m.m_rejected_busy);
-              add_field b ~first:false "rejected_shutdown" (jint m.m_rejected_shutdown);
-              add_field b ~first:false "protocol_errors" (jint m.m_protocol_errors);
-              Buffer.add_char b '}');
-          add_field b ~first:false "cache" (fun b ->
-              Buffer.add_char b '{';
-              add_field b ~first:true "hits" (jint m.m_cache_hits);
-              add_field b ~first:false "misses" (jint m.m_cache_misses);
-              add_field b ~first:false "entries" (jint m.m_cache_entries);
-              add_field b ~first:false "bytes" (jint m.m_cache_bytes);
-              add_field b ~first:false "gc_runs" (jint m.m_gc_runs);
-              add_field b ~first:false "gc_evicted" (jint m.m_gc_evicted);
-              Buffer.add_char b '}');
-          add_field b ~first:false "durability" (fun b ->
-              Buffer.add_char b '{';
-              add_field b ~first:true "journal_records" (jint m.m_journal_records);
-              add_field b ~first:false "journal_bytes" (jint m.m_journal_bytes);
-              add_field b ~first:false "compactions" (jint m.m_compactions);
-              add_field b ~first:false "replayed" (jint m.m_replayed);
-              add_field b ~first:false "recovered_results" (jint m.m_recovered);
-              add_field b ~first:false "orphans_killed" (jint m.m_orphans_killed);
-              add_field b ~first:false "redelivered" (jint m.m_redelivered);
-              add_field b ~first:false "acked" (jint m.m_acked);
-              add_field b ~first:false "retained" (jint m.m_retained);
-              Buffer.add_char b '}');
-          add_field b ~first:false "methods" (fun b ->
-              Buffer.add_char b '[';
-              List.iteri
-                (fun i (name, jobs, wall_s) ->
-                  if i > 0 then Buffer.add_char b ',';
-                  Buffer.add_char b '{';
-                  add_field b ~first:true "method" (jstr name);
-                  add_field b ~first:false "jobs" (jint jobs);
-                  add_field b ~first:false "wall_s" (jfloat wall_s);
-                  Buffer.add_char b '}')
-                m.m_methods;
-              Buffer.add_char b ']'))
-    | Draining -> render (fun b -> add_field b ~first:true "reply" (jstr "draining"))
-
-  (* {2 Parsing} *)
-
-  open Obs.Json
-
-  let str_field name o =
-    match member name o with Some (Str s) -> Some s | _ -> None
-
-  let int_field name o =
-    match member name o with Some (Num n) -> Some (int_of_float n) | _ -> None
-
-  let num_field name o = match member name o with Some (Num n) -> Some n | _ -> None
-
-  let bool_field name o =
-    match member name o with Some (Bool v) -> Some v | _ -> None
-
-  let required what = function
-    | Some v -> Ok v
-    | None -> Stdlib.Error (Printf.sprintf "missing or ill-typed field %S" what)
-
-  let ( let* ) r f = match r with Ok v -> f v | Stdlib.Error _ as e -> e
-
-  let request_of_string line =
-    match parse line with
-    | Stdlib.Error e -> Stdlib.Error ("bad JSON: " ^ e)
-    | Ok o -> (
-      let* op = required "op" (str_field "op" o) in
-      match op with
-      | "hello" ->
-        let* client = required "client" (str_field "client" o) in
-        Ok (Hello client)
-      | "ping" -> Ok Ping
-      | "submit" ->
-        let* design = required "design" (str_field "design" o) in
-        Ok
-          (Submit
-             {
-               s_id = Option.value (str_field "id" o) ~default:"";
-               s_design = design;
-               s_property = str_field "property" o;
-               s_method = Option.value (str_field "method" o) ~default:"emm";
-               s_max_depth = int_field "max_depth" o;
-               s_timeout_s = num_field "timeout_s" o;
-               s_cache = bool_field "cache" o;
-             })
-      | "poll" ->
-        let* job = required "job" (int_field "job" o) in
-        Ok (Poll job)
-      | "resume" ->
-        let* client = required "client" (str_field "client" o) in
-        Ok (Resume client)
-      | "ack" ->
-        let* job = required "job" (int_field "job" o) in
-        Ok (Ack job)
-      | "metrics" -> Ok Metrics
-      | "shutdown" -> Ok Shutdown
-      | op -> Stdlib.Error (Printf.sprintf "unknown op %S" op))
-
-  let reply_of_string line =
-    match parse line with
-    | Stdlib.Error e -> Stdlib.Error ("bad JSON: " ^ e)
-    | Ok o -> (
-      let* reply = required "reply" (str_field "reply" o) in
-      match reply with
-      | "hello" ->
-        let* server = required "server" (str_field "server" o) in
-        let* version = required "version" (int_field "version" o) in
-        Ok (Hello_ok { server; version })
-      | "pong" -> Ok Pong
-      | "accepted" ->
-        let* id = required "id" (str_field "id" o) in
-        let* jobs =
-          match member "jobs" o with
-          | Some (Arr l) ->
-            List.fold_left
-              (fun acc j ->
-                let* acc = acc in
-                let* job = required "job" (int_field "job" j) in
-                let* property = required "property" (str_field "property" j) in
-                Ok ((job, property) :: acc))
-              (Ok []) l
-            |> Result.map List.rev
-          | _ -> Stdlib.Error "missing jobs array"
-        in
-        let* queue_depth = required "queue_depth" (int_field "queue_depth" o) in
-        Ok (Accepted { id; jobs; queue_depth })
-      | "busy" ->
-        let* id = required "id" (str_field "id" o) in
-        let* queue_depth = required "queue_depth" (int_field "queue_depth" o) in
-        let* max_queue = required "max_queue" (int_field "max_queue" o) in
-        (* Optional for v1-server compat: an old daemon sends no hint. *)
-        let retry_after_s = Option.value (num_field "retry_after_s" o) ~default:0.0 in
-        Ok (Busy { id; queue_depth; max_queue; retry_after_s })
-      | "shutdown" ->
-        let* id = required "id" (str_field "id" o) in
-        Ok
-          (Shutdown_reply
-             {
-               id;
-               job = int_field "job" o;
-               retry_after_s = num_field "retry_after_s" o;
-             })
-      | "error" ->
-        let* message = required "message" (str_field "message" o) in
-        Ok (Error { id = str_field "id" o; message })
-      | "result" ->
-        let* r_job = required "job" (int_field "job" o) in
-        let* r_id = required "id" (str_field "id" o) in
-        let* r_property = required "property" (str_field "property" o) in
-        let* r_method = required "method" (str_field "method" o) in
-        let* r_verdict = required "verdict" (str_field "verdict" o) in
-        let* r_time_s = required "time_s" (num_field "time_s" o) in
-        let* r_cache = required "cache" (str_field "cache" o) in
-        let* r_certificate = required "certificate" (str_field "certificate" o) in
-        Ok
-          (Result
-             {
-               r_job;
-               r_id;
-               r_property;
-               r_method;
-               r_verdict;
-               r_depth = int_field "depth" o;
-               r_induction = bool_field "induction" o;
-               r_genuine = bool_field "genuine" o;
-               r_reason = str_field "reason" o;
-               r_time_s;
-               r_cache;
-               r_certificate;
-             })
-      | "status" ->
-        let* job = required "job" (int_field "job" o) in
-        let* state = required "state" (str_field "state" o) in
-        Ok (Status { job; state })
-      | "resumed" ->
-        let* client = required "client" (str_field "client" o) in
-        let* results = required "results" (int_field "results" o) in
-        let* pending = required "pending" (int_field "pending" o) in
-        Ok (Resumed { client; results; pending })
-      | "acked" ->
-        let* job = required "job" (int_field "job" o) in
-        Ok (Acked { job })
-      | "metrics" ->
-        let obj name =
-          match member name o with Some (Obj _ as v) -> Some v | _ -> None
-        in
-        let* jobs = required "jobs" (obj "jobs") in
-        let* cache = required "cache" (obj "cache") in
-        let* m_uptime_s = required "uptime_s" (num_field "uptime_s" o) in
-        let* m_queue_depth = required "queue_depth" (int_field "queue_depth" o) in
-        let* m_running = required "running" (int_field "running" o) in
-        let* m_clients = required "clients" (int_field "clients" o) in
-        let need name v = required name (int_field name v) in
-        let* m_accepted = need "accepted" jobs in
-        let* m_completed = need "completed" jobs in
-        let* m_failed = need "failed" jobs in
-        let* m_cancelled = need "cancelled" jobs in
-        let* m_rejected_busy = need "rejected_busy" jobs in
-        let* m_rejected_shutdown = need "rejected_shutdown" jobs in
-        let* m_protocol_errors = need "protocol_errors" jobs in
-        let* m_cache_hits = need "hits" cache in
-        let* m_cache_misses = need "misses" cache in
-        let* m_cache_entries = need "entries" cache in
-        let* m_cache_bytes = need "bytes" cache in
-        let* m_gc_runs = need "gc_runs" cache in
-        let* m_gc_evicted = need "gc_evicted" cache in
-        (* Optional for v1-server compat: absent object reads as zeros. *)
-        let dur name =
-          match obj "durability" with
-          | None -> 0
-          | Some d -> Option.value (int_field name d) ~default:0
-        in
-        let m_journal_records = dur "journal_records" in
-        let m_journal_bytes = dur "journal_bytes" in
-        let m_compactions = dur "compactions" in
-        let m_replayed = dur "replayed" in
-        let m_recovered = dur "recovered_results" in
-        let m_orphans_killed = dur "orphans_killed" in
-        let m_redelivered = dur "redelivered" in
-        let m_acked = dur "acked" in
-        let m_retained = dur "retained" in
-        let* m_methods =
-          match member "methods" o with
-          | Some (Arr l) ->
-            List.fold_left
-              (fun acc e ->
-                let* acc = acc in
-                let* name = required "method" (str_field "method" e) in
-                let* jobs = required "jobs" (int_field "jobs" e) in
-                let* wall_s = required "wall_s" (num_field "wall_s" e) in
-                Ok ((name, jobs, wall_s) :: acc))
-              (Ok []) l
-            |> Result.map List.rev
-          | _ -> Stdlib.Error "missing methods array"
-        in
-        Ok
-          (Metrics_reply
-             {
-               m_uptime_s;
-               m_queue_depth;
-               m_running;
-               m_clients;
-               m_accepted;
-               m_completed;
-               m_failed;
-               m_cancelled;
-               m_rejected_busy;
-               m_rejected_shutdown;
-               m_protocol_errors;
-               m_cache_hits;
-               m_cache_misses;
-               m_cache_entries;
-               m_cache_bytes;
-               m_gc_runs;
-               m_gc_evicted;
-               m_journal_records;
-               m_journal_bytes;
-               m_compactions;
-               m_replayed;
-               m_recovered;
-               m_orphans_killed;
-               m_redelivered;
-               m_acked;
-               m_retained;
-               m_methods;
-             })
-      | "draining" -> Ok Draining
-      | r -> Stdlib.Error (Printf.sprintf "unknown reply %S" r))
-end
+(* The wire protocol, re-exported for the same reason. *)
+module Proto = Proto
 
 (* {1 Shared socket plumbing} *)
 
@@ -871,39 +337,6 @@ module Server = struct
 
   let journal_sync st = match st.jnl with Some j -> Journal.sync j | None -> ()
 
-  let finished_of_line tenant (r : Proto.result_line) =
-    {
-      Journal.f_job = r.Proto.r_job;
-      f_tenant = tenant;
-      f_req = r.Proto.r_id;
-      f_property = r.Proto.r_property;
-      f_method = r.Proto.r_method;
-      f_verdict = r.Proto.r_verdict;
-      f_depth = r.Proto.r_depth;
-      f_induction = r.Proto.r_induction;
-      f_genuine = r.Proto.r_genuine;
-      f_reason = r.Proto.r_reason;
-      f_time_s = r.Proto.r_time_s;
-      f_cache = r.Proto.r_cache;
-      f_certificate = r.Proto.r_certificate;
-    }
-
-  let line_of_finished (f : Journal.result) =
-    {
-      Proto.r_job = f.Journal.f_job;
-      r_id = f.Journal.f_req;
-      r_property = f.Journal.f_property;
-      r_method = f.Journal.f_method;
-      r_verdict = f.Journal.f_verdict;
-      r_depth = f.Journal.f_depth;
-      r_induction = f.Journal.f_induction;
-      r_genuine = f.Journal.f_genuine;
-      r_reason = f.Journal.f_reason;
-      r_time_s = f.Journal.f_time_s;
-      r_cache = f.Journal.f_cache;
-      r_certificate = f.Journal.f_certificate;
-    }
-
   (* Bound on unacked retained results: a v1 client (or one run with
      [--no-ack]) never acks, so without a cap the table and the journal
      would grow forever.  At the cap the oldest result is dropped as if
@@ -1041,7 +474,57 @@ module Server = struct
 
   let drain_hint = 5.0
 
+  (* Check a submission against the engines and the design registry: its
+     method, its design, and the properties it names (every property of
+     the design when it names none). *)
+  let resolve (s : Proto.submit) =
+    let ( let* ) = Result.bind in
+    let* method_ = Emmver.method_of_string s.s_method in
+    let* net = load_design s.s_design in
+    let* props =
+      match (s.s_property, List.map fst (Netlist.properties net)) with
+      | Some p, ps when List.mem p ps -> Ok [ p ]
+      | Some p, _ -> Error (Printf.sprintf "design %s has no property %S" s.s_design p)
+      | None, [] -> Error (s.s_design ^ " has no properties")
+      | None, ps -> Ok ps
+    in
+    Ok (method_, net, props)
+
+  (* Queue job [id] for one property of a submission.  A fresh submission
+     and a journal replay both create their jobs here; a replayed job has
+     no connection ([conn] 0), so its result is delivered by tenant. *)
+  let add_job st ~id ~conn ~tenant ~method_ net (s : Proto.submit) property =
+    let options = clamp_options st s in
+    let run =
+      match st.cfg.runner with
+      | Some r -> fun () -> r s ~property ~options
+      | None -> fun () -> Emmver.verify ~options ~method_ net ~property
+    in
+    let j =
+      {
+        j_id = id;
+        j_req = s.s_id;
+        j_conn = conn;
+        j_tenant = tenant;
+        j_property = property;
+        j_method = s.s_method;
+        j_kill_s =
+          Option.map (fun t -> t +. st.cfg.kill_grace_s) options.Emmver.timeout_s;
+        j_run = run;
+        j_state = Queued;
+        j_abandoned = false;
+      }
+    in
+    Hashtbl.replace st.jobs_tbl id j;
+    Hashtbl.replace st.clients_seen tenant ();
+    enqueue st j tenant;
+    j
+
   let handle_submit st conn (s : Proto.submit) =
+    let reject message =
+      st.m.protocol_errors <- st.m.protocol_errors + 1;
+      push_reply st conn (Proto.Error { id = Some s.s_id; message })
+    in
     if st.draining then begin
       st.m.rejected_shutdown <- st.m.rejected_shutdown + 1;
       Obs.counter_add "serve.rejected_shutdown" 1;
@@ -1050,114 +533,51 @@ module Server = struct
            { id = s.s_id; job = None; retry_after_s = Some drain_hint })
     end
     else
-      let reject message =
-        st.m.protocol_errors <- st.m.protocol_errors + 1;
-        push_reply st conn (Proto.Error { id = Some s.s_id; message })
-      in
-      match Emmver.method_of_string s.s_method with
+      match resolve s with
       | Error msg -> reject msg
-      | Ok method_ -> (
-        match load_design s.s_design with
-        | Error msg -> reject msg
-        | Ok net -> (
-          let props =
-            match s.s_property with
-            | Some p ->
-              if List.mem_assoc p (Netlist.properties net) then Ok [ p ]
-              else
-                Stdlib.Error
-                  (Printf.sprintf "design %s has no property %S" s.s_design p)
-            | None -> (
-              match List.map fst (Netlist.properties net) with
-              | [] -> Stdlib.Error (s.s_design ^ " has no properties")
-              | ps -> Ok ps)
-          in
-          match props with
-          | Error msg -> reject msg
-          | Ok props ->
-            let n = List.length props in
-            if st.queued + n > st.cfg.max_queue then begin
-              (* Explicit backpressure: the daemon never buffers beyond
-                 [max_queue] — the caller retries or backs off. *)
-              st.m.rejected_busy <- st.m.rejected_busy + 1;
-              Obs.counter_add "serve.rejected_busy" 1;
-              push_reply st conn
-                (Proto.Busy
-                   {
-                     id = s.s_id;
-                     queue_depth = st.queued;
-                     max_queue = st.cfg.max_queue;
-                     retry_after_s = busy_hint st;
-                   })
-            end
-            else begin
-              let options = clamp_options st s in
-              let kill_s =
-                match options.Emmver.timeout_s with
-                | Some t -> Some (t +. st.cfg.kill_grace_s)
-                | None -> None
-              in
-              let client = conn.client in
-              Hashtbl.replace st.clients_seen client ();
-              let jobs =
-                List.map
-                  (fun property ->
-                    let id = st.next_job in
-                    st.next_job <- st.next_job + 1;
-                    let run =
-                      match st.cfg.runner with
-                      | Some r -> fun () -> r s ~property ~options
-                      | None ->
-                        fun () -> Emmver.verify ~options ~method_ net ~property
-                    in
-                    let j =
-                      {
-                        j_id = id;
-                        j_req = s.s_id;
-                        j_conn = conn.cid;
-                        j_tenant = client;
-                        j_property = property;
-                        j_method = s.s_method;
-                        j_kill_s = kill_s;
-                        j_run = run;
-                        j_state = Queued;
-                        j_abandoned = false;
-                      }
-                    in
-                    Hashtbl.replace st.jobs_tbl id j;
-                    enqueue st j client;
-                    journal_append st
-                      (Journal.Accepted
-                         {
-                           Journal.a_job = id;
-                           a_tenant = client;
-                           a_req = s.s_id;
-                           a_design = s.s_design;
-                           a_property = property;
-                           a_method = s.s_method;
-                           a_max_depth = s.s_max_depth;
-                           a_timeout_s = s.s_timeout_s;
-                           a_cache = s.s_cache;
-                         });
-                    j)
-                  props
-              in
-              (* The accepted records hit the platter before the accepted
-                 reply hits the wire: once a client sees its jobs, no
-                 SIGKILL loses them. *)
-              journal_sync st;
-              st.m.accepted <- st.m.accepted + n;
-              Obs.counter_add "serve.accepted" n;
-              log st "accepted %d job(s) for %s from %s (queue %d)" n s.s_design
-                client st.queued;
-              push_reply st conn
-                (Proto.Accepted
-                   {
-                     id = s.s_id;
-                     jobs = List.map (fun j -> (j.j_id, j.j_property)) jobs;
-                     queue_depth = st.queued;
-                   })
-            end))
+      | Ok (_, _, props) when st.queued + List.length props > st.cfg.max_queue ->
+        (* Explicit backpressure: the daemon never buffers beyond
+           [max_queue] — the caller retries or backs off. *)
+        st.m.rejected_busy <- st.m.rejected_busy + 1;
+        Obs.counter_add "serve.rejected_busy" 1;
+        push_reply st conn
+          (Proto.Busy
+             {
+               id = s.s_id;
+               queue_depth = st.queued;
+               max_queue = st.cfg.max_queue;
+               retry_after_s = busy_hint st;
+             })
+      | Ok (method_, net, props) ->
+        let tenant = conn.client in
+        let jobs =
+          List.map
+            (fun property ->
+              let id = st.next_job in
+              st.next_job <- id + 1;
+              (* The journal keeps each job's own one-property submission. *)
+              let s = { s with s_property = Some property } in
+              journal_append st
+                (Journal.Accepted { a_job = id; a_tenant = tenant; a_submit = s });
+              add_job st ~id ~conn:conn.cid ~tenant ~method_ net s property)
+            props
+        in
+        (* The accepted records hit the platter before the accepted reply
+           hits the wire: once a client sees its jobs, no SIGKILL loses
+           them. *)
+        journal_sync st;
+        let n = List.length jobs in
+        st.m.accepted <- st.m.accepted + n;
+        Obs.counter_add "serve.accepted" n;
+        log st "accepted %d job(s) for %s from %s (queue %d)" n s.s_design tenant
+          st.queued;
+        push_reply st conn
+          (Proto.Accepted
+             {
+               id = s.s_id;
+               jobs = List.map (fun j -> (j.j_id, j.j_property)) jobs;
+               queue_depth = st.queued;
+             })
 
   (* {2 Results} *)
 
@@ -1181,30 +601,21 @@ module Server = struct
       r_genuine = genuine;
       r_reason = reason;
       r_time_s = o.Emmver.time_s;
-      r_cache =
-        (match o.Emmver.cache with
-        | Emmver.Cache_off -> "off"
-        | Emmver.Cache_miss -> "miss"
-        | Emmver.Cache_hit -> "hit"
-        | Emmver.Cache_dedup -> "dedup");
+      r_cache = Emmver.cache_status_to_string o.Emmver.cache;
       r_certificate = Cert.label o.Emmver.certificate;
     }
 
   (* Make a completed result durable, retain it for [resume], and push it
-     to the best live connection — the submitting one if it is still
-     there, else any live connection that introduced itself as the same
-     tenant (a reconnected client needn't even ask).  The journal record
-     is fsync'd {e before} any of that: a result a client saw is a result
-     a restart can serve again. *)
-  let finish st (j : job) (line : Proto.result_line) =
-    (match st.jnl with
-    | Some jn ->
-      Journal.append jn (Journal.Finished (finished_of_line j.j_tenant line));
-      Journal.sync jn
-    | None -> ());
-    retain st j.j_tenant line;
+     to the best live connection — the submitting one ([conn]) if it is
+     still there, else any live connection that introduced itself as the
+     same tenant (a reconnected client needn't even ask).  The journal
+     record is fsync'd {e before} any of that: a result a client saw is a
+     result a restart can serve again. *)
+  let finish st ~tenant ~conn (line : Proto.result_line) =
+    journal_append ~sync:true st (Journal.Finished { f_tenant = tenant; f_line = line });
+    retain st tenant line;
     let target =
-      match Hashtbl.find_opt st.conns j.j_conn with
+      match Hashtbl.find_opt st.conns conn with
       | Some c when not c.closed -> Some c
       | _ ->
         Hashtbl.fold
@@ -1212,8 +623,7 @@ module Server = struct
             match acc with
             | Some _ -> acc
             | None ->
-              if (not c.closed) && c.named && String.equal c.client j.j_tenant
-              then Some c
+              if (not c.closed) && c.named && String.equal c.client tenant then Some c
               else None)
           st.conns None
     in
@@ -1251,28 +661,15 @@ module Server = struct
       let line = result_of_outcome j o in
       log st "job %d (%s/%s) %s in %.3fs [cache %s]" j.j_id line.Proto.r_property
         j.j_method line.Proto.r_verdict line.Proto.r_time_s line.Proto.r_cache;
-      finish st j line
+      finish st ~tenant:j.j_tenant ~conn:j.j_conn line
     | Error f ->
       st.m.failed <- st.m.failed + 1;
       Obs.counter_add "serve.failed" 1;
       bump_method f.Parallel.elapsed_s;
-      let why = "worker killed: " ^ Parallel.failure_message f in
-      log st "job %d failed: %s" j.j_id why;
-      finish st j
-        {
-          Proto.r_job = j.j_id;
-          r_id = j.j_req;
-          r_property = j.j_property;
-          r_method = j.j_method;
-          r_verdict = "inconclusive";
-          r_depth = None;
-          r_induction = None;
-          r_genuine = None;
-          r_reason = Some why;
-          r_time_s = f.Parallel.elapsed_s;
-          r_cache = "off";
-          r_certificate = "unchecked";
-        }
+      let msg = Parallel.failure_message f in
+      log st "job %d failed: worker killed: %s" j.j_id msg;
+      finish st ~tenant:j.j_tenant ~conn:j.j_conn
+        (result_of_outcome j (Emmver.killed_outcome ~elapsed_s:f.Parallel.elapsed_s msg))
 
   (* {2 Metrics} *)
 
@@ -1541,31 +938,28 @@ module Server = struct
 
   (* {2 Recovery}
 
-     Re-create a journalled-but-unfinished job in the fresh daemon.  The
-     job id is reused verbatim (clients hold it), budgets are re-clamped
-     under the {e current} config, and the design is re-loaded — if that
-     now fails (registry changed, file gone), the job completes as an
-     inconclusive result rather than silently vanishing: the tenant still
-     gets an answer for every accepted job. *)
-  let replay_submit st (a : Journal.submit) =
-    let s =
-      {
-        Proto.s_id = a.Journal.a_req;
-        s_design = a.Journal.a_design;
-        s_property = Some a.Journal.a_property;
-        s_method = a.Journal.a_method;
-        s_max_depth = a.Journal.a_max_depth;
-        s_timeout_s = a.Journal.a_timeout_s;
-        s_cache = a.Journal.a_cache;
-      }
-    in
-    let fail why =
-      let line =
+     Re-create a journalled-but-unfinished job in the fresh daemon, the way
+     a fresh submission creates it.  The job id is reused verbatim (clients
+     hold it), budgets are re-clamped under the {e current} config, and the
+     design is re-loaded — if the submission no longer resolves (registry
+     changed, file gone), the job completes as an inconclusive result
+     rather than silently vanishing: the tenant still gets an answer for
+     every accepted job. *)
+  let replay_submit st (id, tenant, (s : Proto.submit)) =
+    match resolve s with
+    | Ok (method_, net, props) ->
+      (* A journalled submission names its job's one property. *)
+      List.iter
+        (fun property -> ignore (add_job st ~id ~conn:0 ~tenant ~method_ net s property))
+        props
+    | Error msg ->
+      let why = "at recovery: " ^ msg in
+      finish st ~tenant ~conn:0
         {
-          Proto.r_job = a.Journal.a_job;
-          r_id = a.Journal.a_req;
-          r_property = a.Journal.a_property;
-          r_method = a.Journal.a_method;
+          Proto.r_job = id;
+          r_id = s.s_id;
+          r_property = Option.value s.s_property ~default:"";
+          r_method = s.s_method;
           r_verdict = "inconclusive";
           r_depth = None;
           r_induction = None;
@@ -1574,54 +968,9 @@ module Server = struct
           r_time_s = 0.0;
           r_cache = "off";
           r_certificate = "unchecked";
-        }
-      in
-      (match st.jnl with
-      | Some jn ->
-        Journal.append ~sync:true jn
-          (Journal.Finished (finished_of_line a.Journal.a_tenant line))
-      | None -> ());
-      retain st a.Journal.a_tenant line;
+        };
       st.m.failed <- st.m.failed + 1;
-      log st "job %d could not be replayed: %s" a.Journal.a_job why
-    in
-    let accept run =
-      let options = clamp_options st s in
-      let kill_s =
-        match options.Emmver.timeout_s with
-        | Some t -> Some (t +. st.cfg.kill_grace_s)
-        | None -> None
-      in
-      let j =
-        {
-          j_id = a.Journal.a_job;
-          j_req = a.Journal.a_req;
-          j_conn = 0;  (* no live connection: delivery goes by tenant *)
-          j_tenant = a.Journal.a_tenant;
-          j_property = a.Journal.a_property;
-          j_method = a.Journal.a_method;
-          j_kill_s = kill_s;
-          j_run = (fun () -> run options);
-          j_state = Queued;
-          j_abandoned = false;
-        }
-      in
-      Hashtbl.replace st.jobs_tbl j.j_id j;
-      Hashtbl.replace st.clients_seen a.Journal.a_tenant ();
-      enqueue st j a.Journal.a_tenant
-    in
-    match st.cfg.runner with
-    | Some r ->
-      accept (fun options -> r s ~property:a.Journal.a_property ~options)
-    | None -> (
-      match Emmver.method_of_string a.Journal.a_method with
-      | Error msg -> fail msg
-      | Ok method_ -> (
-        match load_design a.Journal.a_design with
-        | Error msg -> fail ("at recovery: " ^ msg)
-        | Ok net ->
-          accept (fun options ->
-              Emmver.verify ~options ~method_ net ~property:a.Journal.a_property)))
+      log st "job %d could not be replayed: %s" id why
 
   let recover st (r : Journal.recovery) =
     if r.Journal.corrupt > 0 then
@@ -1636,17 +985,16 @@ module Server = struct
         end)
       r.Journal.orphans;
     List.iter
-      (fun (f : Journal.result) ->
-        Hashtbl.replace st.retained f.Journal.f_job
-          (f.Journal.f_tenant, line_of_finished f);
+      (fun (tenant, (line : Proto.result_line)) ->
+        Hashtbl.replace st.retained line.r_job (tenant, line);
         st.m.recovered <- st.m.recovered + 1;
         Obs.counter_add "serve.recovered_results" 1)
       r.Journal.undelivered;
     List.iter
-      (fun (a : Journal.submit) ->
+      (fun pending ->
         st.m.replayed <- st.m.replayed + 1;
         Obs.counter_add "serve.journal_replayed" 1;
-        replay_submit st a)
+        replay_submit st pending)
       r.Journal.pending;
     if r.Journal.pending <> [] || r.Journal.undelivered <> [] then
       log st "journal: re-enqueued %d job(s), recovered %d undelivered result(s)"

@@ -60,40 +60,9 @@ type entry = {
   e_payload : payload;
 }
 
-(* {2 JSON writing} *)
-
-(* Runs of bytes that need no escaping are copied whole. *)
-let add_jstring b s =
-  Buffer.add_char b '"';
-  let run = ref 0 in
-  for i = 0 to String.length s - 1 do
-    let c = String.unsafe_get s i in
-    if c = '"' || c = '\\' || c < ' ' then begin
-      Buffer.add_substring b s !run (i - !run);
-      Buffer.add_string b
-        (match c with
-        | '"' -> "\\\""
-        | '\\' -> "\\\\"
-        | '\n' -> "\\n"
-        | '\r' -> "\\r"
-        | '\t' -> "\\t"
-        | c -> Printf.sprintf "\\u%04x" (Char.code c));
-      run := i + 1
-    end
-  done;
-  Buffer.add_substring b s !run (String.length s - !run);
-  Buffer.add_char b '"'
-
-let add_field b ~first name f =
-  if not first then Buffer.add_char b ',';
-  add_jstring b name;
-  Buffer.add_char b ':';
-  f b
-
-let jint n b = Buffer.add_string b (string_of_int n)
-let jfloat x b = Buffer.add_string b (Printf.sprintf "%.17g" x)
-let jbool v b = Buffer.add_string b (if v then "true" else "false")
-let jstr s b = add_jstring b s
+(* Entries are written and read with [Obs.Json].  Floats are written
+   [exact], so an entry's times read back as the floats that were stored. *)
+open Obs.Json
 
 (* {2 Signals, traces, DRAT artifacts as JSON-friendly values} *)
 
@@ -111,75 +80,35 @@ let bits_of_string s = Array.init (String.length s) (fun i -> s.[i] = '1')
 let string_of_bits a =
   String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
-let trace_to_json (t : Bmc.Trace.t) b =
-  Buffer.add_char b '{';
-  add_field b ~first:true "property" (jstr t.Bmc.Trace.property);
-  add_field b ~first:false "depth" (jint t.Bmc.Trace.depth);
-  add_field b ~first:false "inputs" (fun b ->
-      Buffer.add_char b '[';
-      Array.iteri
-        (fun i frame ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          List.iteri
-            (fun j (name, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '[';
-              add_jstring b name;
-              Buffer.add_char b ',';
-              jbool v b;
-              Buffer.add_char b ']')
-            frame;
-          Buffer.add_char b ']')
-        t.Bmc.Trace.inputs;
-      Buffer.add_char b ']');
-  add_field b ~first:false "latch0" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          add_jstring b name;
-          Buffer.add_char b ',';
-          jbool v b;
-          Buffer.add_char b ']')
-        t.Bmc.Trace.latch0;
-      Buffer.add_char b ']');
-  add_field b ~first:false "mem_init" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (name, words) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          add_jstring b name;
-          Buffer.add_string b ",[";
-          List.iteri
-            (fun k (a, w) ->
-              if k > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Printf.sprintf "[%d,%d]" a w))
-            words;
-          Buffer.add_string b "]]")
-        t.Bmc.Trace.mem_init;
-      Buffer.add_char b ']');
-  add_field b ~first:false "watch" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (w : Bmc.Trace.watch) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          add_field b ~first:true "name" (jstr w.Bmc.Trace.w_name);
-          add_field b ~first:false "signal" (jint (signal_code w.Bmc.Trace.w_signal));
-          add_field b ~first:false "enable"
-            (jint
-               (match w.Bmc.Trace.w_enable with
-               | Some e -> signal_code e
-               | None -> -1));
-          add_field b ~first:false "values"
-            (jstr (string_of_bits w.Bmc.Trace.w_values));
-          Buffer.add_char b '}')
-        t.Bmc.Trace.watch;
-      Buffer.add_char b ']');
-  Buffer.add_char b '}'
+(* A two-element array. *)
+let pair f g (x, y) b =
+  Buffer.add_char b '[';
+  f x b;
+  Buffer.add_char b ',';
+  g y b;
+  Buffer.add_char b ']'
+
+let trace_to_json (t : Bmc.Trace.t) =
+  obj (fun b ->
+      add_field b "property" (str t.Bmc.Trace.property);
+      add_field b "depth" (int t.Bmc.Trace.depth);
+      add_field b "inputs"
+        (list (list (pair str bool)) (Array.to_list t.Bmc.Trace.inputs));
+      add_field b "latch0" (list (pair str bool) t.Bmc.Trace.latch0);
+      add_field b "mem_init" (list (pair str (list (pair int int))) t.Bmc.Trace.mem_init);
+      add_field b "watch"
+        (list
+           (fun (w : Bmc.Trace.watch) ->
+             obj (fun b ->
+                 add_field b "name" (str w.Bmc.Trace.w_name);
+                 add_field b "signal" (int (signal_code w.Bmc.Trace.w_signal));
+                 add_field b "enable"
+                   (int
+                      (match w.Bmc.Trace.w_enable with
+                      | Some e -> signal_code e
+                      | None -> -1));
+                 add_field b "values" (str (string_of_bits w.Bmc.Trace.w_values))))
+           t.Bmc.Trace.watch))
 
 (* DRAT artifacts travel as DIMACS text: one clause/cube per line terminated
    by 0, deletions prefixed with "d " — compact and trivially stable. *)
@@ -281,134 +210,93 @@ type rendered =
   | Render_drat of { num_vars : int; cnf : string; proof : string; obligations : string }
 
 let entry_to_json e payload =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  add_field b ~first:true "version" (jint 1);
-  add_field b ~first:false "method" (jstr e.e_method);
-  (match e.e_verdict with
-  | Proved { depth; induction } ->
-    add_field b ~first:false "verdict" (jstr "proved");
-    add_field b ~first:false "depth" (jint depth);
-    add_field b ~first:false "induction" (jbool induction)
-  | Falsified { depth } ->
-    add_field b ~first:false "verdict" (jstr "falsified");
-    add_field b ~first:false "depth" (jint depth)
-  | Bounded { depth; reason } ->
-    add_field b ~first:false "verdict" (jstr "bounded");
-    add_field b ~first:false "depth" (jint depth);
-    add_field b ~first:false "reason" (jstr reason));
-  add_field b ~first:false "time_s" (jfloat e.e_time_s);
-  add_field b ~first:false "solve_time_s" (jfloat e.e_solve_time_s);
-  add_field b ~first:false "model_vars" (jint e.e_model_vars);
-  add_field b ~first:false "model_clauses" (jint e.e_model_clauses);
-  add_field b ~first:false "model_latches" (jint e.e_model_latches);
-  add_field b ~first:false "cert" (jstr e.e_cert);
-  add_field b ~first:false "created" (jfloat e.e_created);
-  (match payload with
-  | Render_none -> add_field b ~first:false "payload" (jstr "none")
-  | Render_trace t ->
-    add_field b ~first:false "payload" (jstr "trace");
-    add_field b ~first:false "trace" (trace_to_json t)
-  | Render_drat { num_vars; cnf; proof; obligations } ->
-    add_field b ~first:false "payload" (jstr "drat");
-    add_field b ~first:false "drat" (fun b ->
-        Buffer.add_char b '{';
-        add_field b ~first:true "num_vars" (jint num_vars);
-        add_field b ~first:false "cnf" (jstr cnf);
-        add_field b ~first:false "proof" (jstr proof);
-        add_field b ~first:false "obligations" (jstr obligations);
-        Buffer.add_char b '}'));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  to_string
+    (obj (fun b ->
+        add_field b "version" (int 1);
+        add_field b "method" (str e.e_method);
+        (match e.e_verdict with
+        | Proved { depth; induction } ->
+          add_field b "verdict" (str "proved");
+          add_field b "depth" (int depth);
+          add_field b "induction" (bool induction)
+        | Falsified { depth } ->
+          add_field b "verdict" (str "falsified");
+          add_field b "depth" (int depth)
+        | Bounded { depth; reason } ->
+          add_field b "verdict" (str "bounded");
+          add_field b "depth" (int depth);
+          add_field b "reason" (str reason));
+        add_field b "time_s" (exact e.e_time_s);
+        add_field b "solve_time_s" (exact e.e_solve_time_s);
+        add_field b "model_vars" (int e.e_model_vars);
+        add_field b "model_clauses" (int e.e_model_clauses);
+        add_field b "model_latches" (int e.e_model_latches);
+        add_field b "cert" (str e.e_cert);
+        add_field b "created" (exact e.e_created);
+        match payload with
+        | Render_none -> add_field b "payload" (str "none")
+        | Render_trace t ->
+          add_field b "payload" (str "trace");
+          add_field b "trace" (trace_to_json t)
+        | Render_drat { num_vars; cnf; proof; obligations } ->
+          add_field b "payload" (str "drat");
+          add_field b "drat"
+            (obj (fun b ->
+                 add_field b "num_vars" (int num_vars);
+                 add_field b "cnf" (str cnf);
+                 add_field b "proof" (str proof);
+                 add_field b "obligations" (str obligations)))))
 
 (* {2 Entry parsing} *)
 
-open Obs.Json
+(* Every field of an entry is required: a missing one is corruption. *)
+let get = function Some v -> v | None -> raise Corrupt
 
-let str_field name o = match member name o with Some (Str s) -> s | _ -> raise Corrupt
-let num_field name o =
-  match member name o with Some (Num n) -> n | _ -> raise Corrupt
+let arr name o = match member name o with Some (Arr l) -> l | _ -> raise Corrupt
 
-let int_field name o = int_of_float (num_field name o)
-
-let bool_field name o =
-  match member name o with Some (Bool v) -> v | _ -> raise Corrupt
-
-let pairs_field name o =
-  match member name o with
-  | Some (Arr l) ->
-    List.map
-      (function Arr [ Str n; Bool v ] -> (n, v) | _ -> raise Corrupt)
-      l
+let pairs = function
+  | Arr l -> List.map (function Arr [ Str n; Bool v ] -> (n, v) | _ -> raise Corrupt) l
   | _ -> raise Corrupt
 
 let trace_of_json o : Bmc.Trace.t =
-  let inputs =
-    match member "inputs" o with
-    | Some (Arr frames) ->
-      Array.of_list
-        (List.map
-           (function
-             | Arr pairs ->
-               List.map
-                 (function Arr [ Str n; Bool v ] -> (n, v) | _ -> raise Corrupt)
-                 pairs
-             | _ -> raise Corrupt)
-           frames)
+  let word = function
+    | Arr [ Num a; Num w ] -> (int_of_float a, int_of_float w)
     | _ -> raise Corrupt
   in
-  let mem_init =
-    match member "mem_init" o with
-    | Some (Arr l) ->
-      List.map
-        (function
-          | Arr [ Str n; Arr words ] ->
-            ( n,
-              List.map
-                (function
-                  | Arr [ Num a; Num w ] -> (int_of_float a, int_of_float w)
-                  | _ -> raise Corrupt)
-                words )
-          | _ -> raise Corrupt)
-        l
+  let mem = function
+    | Arr [ Str n; Arr words ] -> (n, List.map word words)
     | _ -> raise Corrupt
   in
-  let watch =
-    match member "watch" o with
-    | Some (Arr l) ->
-      List.map
-        (fun w ->
-          let enable = int_field "enable" w in
-          {
-            Bmc.Trace.w_name = str_field "name" w;
-            w_signal = signal_of_code (int_field "signal" w);
-            w_enable = (if enable < 0 then None else Some (signal_of_code enable));
-            w_values = bits_of_string (str_field "values" w);
-          })
-        l
-    | _ -> raise Corrupt
+  let watch w =
+    let enable = get (int_field "enable" w) in
+    {
+      Bmc.Trace.w_name = get (str_field "name" w);
+      w_signal = signal_of_code (get (int_field "signal" w));
+      w_enable = (if enable < 0 then None else Some (signal_of_code enable));
+      w_values = bits_of_string (get (str_field "values" w));
+    }
   in
   {
-    Bmc.Trace.property = str_field "property" o;
-    depth = int_field "depth" o;
-    inputs;
-    latch0 = pairs_field "latch0" o;
-    mem_init;
-    watch;
+    Bmc.Trace.property = get (str_field "property" o);
+    depth = get (int_field "depth" o);
+    inputs = Array.of_list (List.map pairs (arr "inputs" o));
+    latch0 = pairs (get (member "latch0" o));
+    mem_init = List.map mem (arr "mem_init" o);
+    watch = List.map watch (arr "watch" o);
   }
 
 let entry_of_json o =
-  if int_field "version" o <> 1 then raise Corrupt;
-  let depth = int_field "depth" o in
+  if get (int_field "version" o) <> 1 then raise Corrupt;
+  let depth = get (int_field "depth" o) in
   let e_verdict =
-    match str_field "verdict" o with
-    | "proved" -> Proved { depth; induction = bool_field "induction" o }
+    match get (str_field "verdict" o) with
+    | "proved" -> Proved { depth; induction = get (bool_field "induction" o) }
     | "falsified" -> Falsified { depth }
-    | "bounded" -> Bounded { depth; reason = str_field "reason" o }
+    | "bounded" -> Bounded { depth; reason = get (str_field "reason" o) }
     | _ -> raise Corrupt
   in
   let e_payload =
-    match str_field "payload" o with
+    match get (str_field "payload" o) with
     | "none" -> No_payload
     | "trace" -> (
       match member "trace" o with
@@ -419,24 +307,24 @@ let entry_of_json o =
       | Some d ->
         Drat_payload
           {
-            Bmc.Engine.ca_num_vars = int_field "num_vars" d;
-            ca_original = clauses_of_dimacs (str_field "cnf" d);
-            ca_proof = proof_of_dimacs (str_field "proof" d);
-            ca_obligations = cubes_of_dimacs (str_field "obligations" d);
+            Bmc.Engine.ca_num_vars = get (int_field "num_vars" d);
+            ca_original = clauses_of_dimacs (get (str_field "cnf" d));
+            ca_proof = proof_of_dimacs (get (str_field "proof" d));
+            ca_obligations = cubes_of_dimacs (get (str_field "obligations" d));
           }
       | None -> raise Corrupt)
     | _ -> raise Corrupt
   in
   {
-    e_method = str_field "method" o;
+    e_method = get (str_field "method" o);
     e_verdict;
-    e_time_s = num_field "time_s" o;
-    e_solve_time_s = num_field "solve_time_s" o;
-    e_model_vars = int_field "model_vars" o;
-    e_model_clauses = int_field "model_clauses" o;
-    e_model_latches = int_field "model_latches" o;
-    e_cert = str_field "cert" o;
-    e_created = num_field "created" o;
+    e_time_s = get (num_field "time_s" o);
+    e_solve_time_s = get (num_field "solve_time_s" o);
+    e_model_vars = get (int_field "model_vars" o);
+    e_model_clauses = get (int_field "model_clauses" o);
+    e_model_latches = get (int_field "model_latches" o);
+    e_cert = get (str_field "cert" o);
+    e_created = get (num_field "created" o);
     e_payload;
   }
 
@@ -553,7 +441,7 @@ let load cfg key =
       | Some (entry, bytes) ->
         Obs.counter_add "vcache.hits" 1;
         Obs.counter_add "vcache.bytes_read" bytes;
-        (* Refresh the entry's clock: watermark GC ([maintain], [gc])
+        (* Refresh the entry's clock: the watermark GC ([maintain])
            orders evictions by mtime, so a hit renews the entry's lease —
            entries that keep earning hits survive the size watermark,
            entries nobody asks for age out.  Best-effort: a read-only
@@ -708,20 +596,3 @@ let maintain cfg policy =
         kept = !kept;
         kept_bytes = !kept_bytes;
       })
-
-let gc cfg ~max_bytes =
-  let files = eviction_order (scan_entries cfg) in
-  let total = List.fold_left (fun acc (_, _, s, _) -> acc + s) 0 files in
-  let deleted = ref 0 and kept = ref 0 and remaining = ref total in
-  List.iter
-    (fun (path, _, size, _) ->
-      if !remaining > max_bytes then begin
-        (match remove_with_marker path with
-        | () ->
-          incr deleted;
-          remaining := !remaining - size
-        | exception _ -> incr kept)
-      end
-      else incr kept)
-    files;
-  (!deleted, !kept)

@@ -113,12 +113,6 @@ val stats : config -> store_stats
 val clear : config -> int
 (** Delete every entry; returns the number deleted. *)
 
-val gc : config -> max_bytes:int -> int * int
-(** [gc cfg ~max_bytes] deletes entries until the store fits the byte
-    budget and returns [(deleted, kept)].  Eviction order is never-hit
-    entries oldest-first, then least-recently-used (a {!load} hit
-    refreshes an entry's clock). *)
-
 (** {1 Daemon-grade maintenance}
 
     A long-running server cannot rely on an operator running [cache gc] by

@@ -370,6 +370,25 @@ let test_jsonl_lines_parse () =
       | Error why -> Alcotest.failf "bad jsonl line %S: %s" line why)
     lines
 
+(* The JSON-lines export byte for byte: field order, number rule and string
+   escaping (a quote in the workload's attribute; a backslash, a newline, a
+   tab, a carriage return and a control byte in one more instant). *)
+let test_jsonl_golden () =
+  let r = record_workload () in
+  with_recorder r (fun () ->
+      Obs.instant "odd"
+        ~attrs:[ ("s", Obs.Str "q\"b\\n\nc\001\tr\r"); ("f", Obs.Float 0.125) ]);
+  Alcotest.(check string) "jsonl bytes"
+    {|{"ph":"B","name":"run","ts":0,"pid":7,"tid":7,"args":{"design":"quick\"sort"}}
+{"ph":"B","name":"depth","ts":1,"pid":7,"tid":7,"args":{"k":0}}
+{"ph":"C","name":"clauses","ts":2,"pid":7,"tid":7,"args":{"value":12}}
+{"ph":"i","name":"note","ts":3,"pid":7,"tid":7,"s":"t","args":{"ok":true}}
+{"ph":"E","name":"depth","ts":4,"pid":7,"tid":7,"args":{"alloc_words":0}}
+{"ph":"E","name":"run","ts":5,"pid":7,"tid":7,"args":{"alloc_words":0}}
+{"ph":"i","name":"odd","ts":6,"pid":7,"tid":7,"s":"t","args":{"s":"q\"b\\n\nc\u0001\tr\r","f":0.125}}
+|}
+    (export_string Obs.Jsonl r)
+
 let test_format_of_path () =
   Alcotest.(check bool) "jsonl" true (Obs.format_of_path "t.jsonl" = Obs.Jsonl);
   Alcotest.(check bool) "json" true (Obs.format_of_path "t.json" = Obs.Chrome);
@@ -525,6 +544,7 @@ let () =
           Alcotest.test_case "chrome golden parses back" `Quick
             test_chrome_golden_parses_back;
           Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
+          Alcotest.test_case "jsonl golden, byte-for-byte" `Quick test_jsonl_golden;
           Alcotest.test_case "format of path" `Quick test_format_of_path;
           Alcotest.test_case "write_file roundtrip" `Quick test_write_file_roundtrip;
         ] );

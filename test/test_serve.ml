@@ -255,35 +255,51 @@ let test_backoff () =
 
 (* {1 Journal unit tests} *)
 
-let jsub i =
-  {
-    Serve.Journal.a_job = i;
-    a_tenant = "t";
-    a_req = "req";
-    a_design = "fifo";
-    a_property = "fifo_data";
-    a_method = "emm";
-    a_max_depth = Some 5;
-    a_timeout_s = None;
-    a_cache = None;
-  }
+let jaccepted ?(tenant = "t") ?(req = "req") ?max_depth ?timeout_s ?cache job =
+  Serve.Journal.Accepted
+    {
+      a_job = job;
+      a_tenant = tenant;
+      a_submit =
+        {
+          Serve.Proto.s_id = req;
+          s_design = "fifo";
+          s_property = Some "fifo_data";
+          s_method = "emm";
+          s_max_depth = max_depth;
+          s_timeout_s = timeout_s;
+          s_cache = cache;
+        };
+    }
 
-let jres i =
-  {
-    Serve.Journal.f_job = i;
-    f_tenant = "t";
-    f_req = "req";
-    f_property = "fifo_data";
-    f_method = "emm";
-    f_verdict = "proved";
-    f_depth = Some 1;
-    f_induction = Some false;
-    f_genuine = None;
-    f_reason = None;
-    f_time_s = 0.01;
-    f_cache = "off";
-    f_certificate = "unchecked";
-  }
+let jfinished ~verdict ?depth ?induction ?genuine ?reason ~time_s job =
+  Serve.Journal.Finished
+    {
+      f_tenant = "t";
+      f_line =
+        {
+          Serve.Proto.r_job = job;
+          r_id = "req";
+          r_property = "fifo_data";
+          r_method = "emm";
+          r_verdict = verdict;
+          r_depth = depth;
+          r_induction = induction;
+          r_genuine = genuine;
+          r_reason = reason;
+          r_time_s = time_s;
+          r_cache = "off";
+          r_certificate = "unchecked";
+        };
+    }
+
+let jsub i = jaccepted ~max_depth:5 i
+let jres i = jfinished ~verdict:"proved" ~depth:1 ~induction:false ~time_s:0.01 i
+
+let pending_jobs r = List.map (fun (job, _, _) -> job) r.Serve.Journal.pending
+
+let undelivered_jobs r =
+  List.map (fun (_, line) -> line.Serve.Proto.r_job) r.Serve.Journal.undelivered
 
 let test_journal_recovery () =
   let dir = tmpdir () in
@@ -292,25 +308,25 @@ let test_journal_recovery () =
   Alcotest.(check int) "fresh journal: nothing pending" 0 (List.length r0.Serve.Journal.pending);
   Alcotest.(check int) "fresh journal: job ids start at 1" 1 r0.Serve.Journal.next_job;
   (* Job 1 queued, job 2 mid-run, job 3 finished-not-acked, job 4 closed. *)
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 1));
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 2));
+  Serve.Journal.append j (jsub 1);
+  Serve.Journal.append j (jsub 2);
   Serve.Journal.append j
     (Serve.Journal.Started { job = 2; pid = 4242; token = "boot:77" });
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 3));
-  Serve.Journal.append j (Serve.Journal.Finished (jres 3));
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 4));
-  Serve.Journal.append j (Serve.Journal.Finished (jres 4));
+  Serve.Journal.append j (jsub 3);
+  Serve.Journal.append j (jres 3);
+  Serve.Journal.append j (jsub 4);
+  Serve.Journal.append j (jres 4);
   Serve.Journal.append j (Serve.Journal.Acked { job = 4 });
   Serve.Journal.sync j;
   Serve.Journal.close j;
   let j2, r = Serve.Journal.open_ path in
   Alcotest.(check (list int)) "unfinished jobs pending, in order" [ 1; 2 ]
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (pending_jobs r);
   Alcotest.(check (list (triple int int string))) "mid-run job is an orphan"
     [ (2, 4242, "boot:77") ]
     r.Serve.Journal.orphans;
   Alcotest.(check (list int)) "finished-not-acked retained" [ 3 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (undelivered_jobs r);
   Alcotest.(check int) "next job id past everything" 5 r.Serve.Journal.next_job;
   Alcotest.(check int) "no corruption" 0 r.Serve.Journal.corrupt;
   (* open_ compacted: the acked job is gone from disk, the rest survives a
@@ -318,9 +334,9 @@ let test_journal_recovery () =
   Serve.Journal.close j2;
   let j3, r2 = Serve.Journal.open_ path in
   Alcotest.(check (list int)) "stable after compaction" [ 1; 2 ]
-    (List.map (fun s -> s.Serve.Journal.a_job) r2.Serve.Journal.pending);
+    (pending_jobs r2);
   Alcotest.(check (list int)) "undelivered survives compaction" [ 3 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r2.Serve.Journal.undelivered);
+    (undelivered_jobs r2);
   Serve.Journal.close j3
 
 (* Write a journal file by hand and damage it: a torn tail, a flipped
@@ -334,17 +350,17 @@ let test_journal_corruption () =
     List.iter (output_string oc) lines;
     close_out oc
   in
-  let l1 = Serve.Journal.line_of_record (Serve.Journal.Accepted (jsub 1)) in
-  let l2 = Serve.Journal.line_of_record (Serve.Journal.Accepted (jsub 2)) in
-  let l3 = Serve.Journal.line_of_record (Serve.Journal.Finished (jres 1)) in
+  let l1 = Serve.Journal.line_of_record (jsub 1) in
+  let l2 = Serve.Journal.line_of_record (jsub 2) in
+  let l3 = Serve.Journal.line_of_record (jres 1) in
   (* Torn tail: the last record was half-written when the power died. *)
   let torn = Filename.concat dir "torn" in
   write_file torn [ l1; l3; String.sub l2 0 (String.length l2 / 2) ];
   let j, r = Serve.Journal.open_ torn in
   Alcotest.(check (list int)) "torn tail: intact records survive" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (pending_jobs r);
   Alcotest.(check (list int)) "torn tail: finished job retained" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (undelivered_jobs r);
   Alcotest.(check int) "torn tail counted corrupt" 1 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* Flipped checksum: one record's checksum no longer matches its body —
@@ -358,9 +374,9 @@ let test_journal_corruption () =
   write_file flipped [ l1; flip l2; l3 ];
   let j, r = Serve.Journal.open_ flipped in
   Alcotest.(check (list int)) "flip: only the damaged record is lost" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (pending_jobs r);
   Alcotest.(check (list int)) "flip: neighbours intact" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (undelivered_jobs r);
   Alcotest.(check int) "flip counted corrupt" 1 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* Duplicated records: replay is idempotent — the same state as if each
@@ -369,9 +385,9 @@ let test_journal_corruption () =
   write_file dup [ l1; l1; l3; l3; l1 ];
   let j, r = Serve.Journal.open_ dup in
   Alcotest.(check (list int)) "dup: one pending set" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (pending_jobs r);
   Alcotest.(check (list int)) "dup: one undelivered result" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (undelivered_jobs r);
   Alcotest.(check int) "dup: nothing corrupt" 0 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* After the cleaning compaction in open_, a re-open sees no corruption
@@ -379,8 +395,153 @@ let test_journal_corruption () =
   let j, r = Serve.Journal.open_ torn in
   Alcotest.(check int) "compaction scrubbed the tail" 0 r.Serve.Journal.corrupt;
   Alcotest.(check (list int)) "state stable after scrub" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (undelivered_jobs r);
   Serve.Journal.close j
+
+(* Golden journal lines: the exact bytes [line_of_record] writes, checksum
+   included.  A journal outlives the daemon that wrote it, so the record
+   rendering is an on-disk format — any drift must fail here. *)
+let golden_journal =
+  [
+    ( jaccepted ~max_depth:12 ~timeout_s:1.25 ~cache:false 1,
+      {|0c55d651c3e09a298309b32c358e06ba {"rec":"accepted","job":1,"tenant":"t","req":"req","design":"fifo","property":"fifo_data","method":"emm","max_depth":12,"timeout_s":1.250,"cache":false}|}
+    );
+    ( jaccepted 2,
+      {|fc0e35a5586eb1999a3d83cf77968961 {"rec":"accepted","job":2,"tenant":"t","req":"req","design":"fifo","property":"fifo_data","method":"emm"}|}
+    );
+    ( jaccepted ~tenant:"a\"b" ~req:"line1\nline2" 3,
+      {|3dc003d6a9166f8a347bdb0e08d0f461 {"rec":"accepted","job":3,"tenant":"a\"b","req":"line1\nline2","design":"fifo","property":"fifo_data","method":"emm"}|}
+    );
+    ( Serve.Journal.Started { job = 3; pid = 4242; token = "boot:77" },
+      {|516259ff7dd5b38883deb70315a04158 {"rec":"started","job":3,"pid":4242,"token":"boot:77"}|}
+    );
+    ( jfinished ~verdict:"falsified" ~depth:1 ~induction:false ~genuine:true
+        ~reason:"why\001" ~time_s:0.0125 3,
+      {|28a1749c706cb43506194fdb34af85b7 {"rec":"result","job":3,"tenant":"t","req":"req","property":"fifo_data","method":"emm","verdict":"falsified","depth":1,"induction":false,"genuine":true,"reason":"why\u0001","time_s":0.013,"cache":"off","certificate":"unchecked"}|}
+    );
+    ( Serve.Journal.Acked { job = 3 },
+      {|b05e1e87ca73d2702b4797c1c2787092 {"rec":"acked","job":3}|} );
+    ( Serve.Journal.Cancelled { job = 2 },
+      {|ed73abd663953c49bac491d1a8fbda1d {"rec":"cancelled","job":2}|} );
+  ]
+
+let test_journal_goldens () =
+  List.iter
+    (fun (r, expected) ->
+      Alcotest.(check string) expected (expected ^ "\n")
+        (Serve.Journal.line_of_record r))
+    golden_journal
+
+(* The journal reader, one hand-written record at a time.  Each row is the
+   JSON body of a checksummed single-record journal, what [open_] must
+   make of it (records replayed, lines corrupt, jobs pending, results
+   undelivered), and the record bodies the cleaning compaction leaves on
+   disk — which shows what the reader kept of an optional field. *)
+let journal_reader_rows =
+  let acc = {|"rec":"accepted","job":1,"tenant":"t","req":"r","design":"fifo"|} in
+  let res = {|"rec":"result","job":1,"tenant":"t","req":"r"|} in
+  let pm = {|"property":"p","method":"emm"|} in
+  let tail = {|"time_s":0.500,"cache":"off","certificate":"unchecked"|} in
+  let obj fields = "{" ^ String.concat "," fields ^ "}" in
+  let accepted_ok = obj [ acc; pm ] in
+  let result_ok = obj [ res; pm; {|"verdict":"proved"|}; tail ] in
+  let corrupt = (0, 1, 0, 0, []) in
+  [
+    ("accepted", accepted_ok, (1, 0, 1, 0, [ accepted_ok ]));
+    ( "accepted, every optional field",
+      obj [ acc; pm; {|"max_depth":4,"timeout_s":2.000,"cache":true|} ],
+      ( 1,
+        0,
+        1,
+        0,
+        [ obj [ acc; pm; {|"max_depth":4,"timeout_s":2.000,"cache":true|} ] ] ) );
+    ( "accepted without job",
+      obj [ {|"rec":"accepted","tenant":"t","req":"r","design":"fifo"|}; pm ],
+      corrupt );
+    ( "accepted without tenant",
+      obj [ {|"rec":"accepted","job":1,"req":"r","design":"fifo"|}; pm ],
+      corrupt );
+    ( "accepted without design",
+      obj [ {|"rec":"accepted","job":1,"tenant":"t","req":"r"|}; pm ],
+      corrupt );
+    ("accepted without property", obj [ acc; {|"method":"emm"|} ], corrupt);
+    ("accepted without method", obj [ acc; {|"property":"p"|} ], corrupt);
+    ( "accepted with a numeric method",
+      obj [ acc; {|"property":"p","method":7|} ],
+      corrupt );
+    ( "accepted with a numeric property",
+      obj [ acc; {|"property":7,"method":"emm"|} ],
+      corrupt );
+    ( "accepted without req",
+      obj [ {|"rec":"accepted","job":1,"tenant":"t","design":"fifo"|}; pm ],
+      (1, 0, 1, 0, [ obj [ {|"rec":"accepted","job":1,"tenant":"t","req":"","design":"fifo"|}; pm ] ]) );
+    ( "accepted with an ill-typed max_depth",
+      obj [ acc; pm; {|"max_depth":"x"|} ],
+      (1, 0, 1, 0, [ accepted_ok ]) );
+    ("result", result_ok, (1, 0, 0, 1, [ result_ok ]));
+    ( "result without job",
+      obj [ {|"rec":"result","tenant":"t","req":"r"|}; pm; {|"verdict":"proved"|}; tail ],
+      corrupt );
+    ( "result without tenant",
+      obj [ {|"rec":"result","job":1,"req":"r"|}; pm; {|"verdict":"proved"|}; tail ],
+      corrupt );
+    ( "result without property",
+      obj [ res; {|"method":"emm","verdict":"proved"|}; tail ],
+      corrupt );
+    ( "result without method",
+      obj [ res; {|"property":"p","verdict":"proved"|}; tail ],
+      corrupt );
+    ("result without verdict", obj [ res; pm; tail ], corrupt);
+    ( "result without time_s",
+      obj [ res; pm; {|"verdict":"proved","cache":"off","certificate":"unchecked"|} ],
+      corrupt );
+    ( "result without cache",
+      obj [ res; pm; {|"verdict":"proved","time_s":0.500,"certificate":"unchecked"|} ],
+      corrupt );
+    ( "result without certificate",
+      obj [ res; pm; {|"verdict":"proved","time_s":0.500,"cache":"off"|} ],
+      corrupt );
+    ( "result without req",
+      obj [ {|"rec":"result","job":1,"tenant":"t"|}; pm; {|"verdict":"proved"|}; tail ],
+      ( 1,
+        0,
+        0,
+        1,
+        [ obj [ {|"rec":"result","job":1,"tenant":"t","req":""|}; pm; {|"verdict":"proved"|}; tail ] ] ) );
+    ( "result with an ill-typed depth",
+      obj [ res; pm; {|"verdict":"proved","depth":"x"|}; tail ],
+      (1, 0, 0, 1, [ result_ok ]) );
+    ( "started",
+      {|{"rec":"started","job":1,"pid":7,"token":"boot:1"}|},
+      (1, 0, 0, 0, []) );
+    ("started without token", {|{"rec":"started","job":1,"pid":7}|}, corrupt);
+    ("unknown record kind", {|{"rec":"launched","job":1}|}, corrupt);
+  ]
+
+let test_journal_reader_table () =
+  let dir = tmpdir () in
+  let checksummed body = Digest.to_hex (Digest.string body) ^ " " ^ body ^ "\n" in
+  List.iteri
+    (fun i (what, body, (replayed, corrupt, pending, undelivered, kept)) ->
+      let path = Filename.concat dir (Printf.sprintf "j%d" i) in
+      let oc = open_out_bin path in
+      output_string oc ("EMMVER-JOURNAL 1\n" ^ checksummed body);
+      close_out oc;
+      let j, r = Serve.Journal.open_ path in
+      Serve.Journal.close j;
+      let counts = Printf.sprintf "replayed %d, corrupt %d, pending %d, undelivered %d" in
+      Alcotest.(check string) what
+        (counts replayed corrupt pending undelivered)
+        (counts r.Serve.Journal.replayed r.Serve.Journal.corrupt
+           (List.length r.Serve.Journal.pending)
+           (List.length r.Serve.Journal.undelivered));
+      let ic = open_in_bin path in
+      let on_disk = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) (what ^ ": compacted file")
+        (String.concat "" ("EMMVER-JOURNAL 1\n" :: List.map checksummed kept))
+        on_disk)
+    journal_reader_rows
 
 (* {1 Live-server harness} *)
 
@@ -946,6 +1107,10 @@ let () =
             `Quick test_journal_recovery;
           Alcotest.test_case "torn, flipped and duplicated records recover"
             `Quick test_journal_corruption;
+          Alcotest.test_case "golden lines, byte-for-byte" `Quick
+            test_journal_goldens;
+          Alcotest.test_case "reader table: corrupt, defaulted, dropped fields"
+            `Quick test_journal_reader_table;
         ] );
       ( "daemon",
         [
