@@ -56,7 +56,7 @@ let hr title =
 let run_cells ~f ~on_fail cells =
   if !jobs <= 1 then List.map f cells
   else
-    Parallel.map ~jobs:!jobs ~f cells
+    Parallel.run ~jobs:!jobs ~f cells
     |> List.map (function Ok v -> v | Error failure -> on_fail failure)
 
 let failed_outcome (failure : Parallel.failure) =
@@ -547,24 +547,40 @@ let pigeonhole_clauses pigeons holes =
   in
   (pigeons * holes, at_least_one @ at_most_one)
 
+(* BENCH's own float precisions, beside the codec's [fixed3]. *)
+let fixed2 x b = Buffer.add_string b (Printf.sprintf "%.2f" x)
+let fixed1 x b = Buffer.add_string b (Printf.sprintf "%.1f" x)
+
 let json_row ~design ~property ~method_ ~verdict ~time_s ~solve_time_s
     ~encode_time_s ~num_vars ~num_clauses ~vars_saved ~clauses_saved
     ?(certificate = "unchecked") ?(proof_steps = 0) ?(cache = "off")
     (s : Satsolver.Solver.stats) =
-  Printf.sprintf
-    {|    {"design": %S, "property": %S, "method": %S, "verdict": %S,
-     "time_s": %.3f, "solve_time_s": %.3f, "encode_time_s": %.3f,
-     "num_vars": %d, "num_clauses": %d, "vars_saved": %d, "clauses_saved": %d,
-     "certificate": %S, "proof_steps": %d, "cache": %S,
-     "conflicts": %d, "decisions": %d,
-     "propagations": %d, "restarts": %d, "learnt": %d, "deleted": %d,
-     "minimised_lits": %d, "avg_lbd": %.2f,
-     "shared_out": %d, "shared_in": %d}|}
-    design property method_ verdict time_s solve_time_s encode_time_s num_vars
-    num_clauses vars_saved clauses_saved certificate proof_steps cache
-    s.Satsolver.Solver.conflicts
-    s.decisions s.propagations s.restarts s.learnt_clauses s.deleted_clauses
-    s.minimised_lits s.avg_lbd s.shared_out s.shared_in
+  let open Obs.Json in
+  obj (fun b ->
+      add_field b "design" (str design);
+      add_field b "property" (str property);
+      add_field b "method" (str method_);
+      add_field b "verdict" (str verdict);
+      add_field b "time_s" (fixed3 time_s);
+      add_field b "solve_time_s" (fixed3 solve_time_s);
+      add_field b "encode_time_s" (fixed3 encode_time_s);
+      add_field b "num_vars" (int num_vars);
+      add_field b "num_clauses" (int num_clauses);
+      add_field b "vars_saved" (int vars_saved);
+      add_field b "clauses_saved" (int clauses_saved);
+      add_field b "certificate" (str certificate);
+      add_field b "proof_steps" (int proof_steps);
+      add_field b "cache" (str cache);
+      add_field b "conflicts" (int s.Satsolver.Solver.conflicts);
+      add_field b "decisions" (int s.decisions);
+      add_field b "propagations" (int s.propagations);
+      add_field b "restarts" (int s.restarts);
+      add_field b "learnt" (int s.learnt_clauses);
+      add_field b "deleted" (int s.deleted_clauses);
+      add_field b "minimised_lits" (int s.minimised_lits);
+      add_field b "avg_lbd" (fixed2 s.avg_lbd);
+      add_field b "shared_out" (int s.shared_out);
+      add_field b "shared_in" (int s.shared_in))
 
 (* {2 Baseline comparison (--baseline FILE)} *)
 
@@ -726,11 +742,15 @@ let domain_sweep () =
       in
       Format.printf "%-8d %-6b %-24s %7.2fs %10d %11d %10d@." d share verdict wall_s
         s.Satsolver.Solver.conflicts s.shared_out s.shared_in;
-      Printf.sprintf
-        {|    {"domains": %d, "share": %b, "verdict": %S, "wall_s": %.3f,
-     "conflicts": %d, "shared_out": %d, "shared_in": %d}|}
-        d share verdict wall_s s.Satsolver.Solver.conflicts s.shared_out
-        s.shared_in)
+      Obs.Json.(
+        obj (fun b ->
+            add_field b "domains" (int d);
+            add_field b "share" (bool share);
+            add_field b "verdict" (str verdict);
+            add_field b "wall_s" (fixed3 wall_s);
+            add_field b "conflicts" (int s.Satsolver.Solver.conflicts);
+            add_field b "shared_out" (int s.shared_out);
+            add_field b "shared_in" (int s.shared_in))))
     [ (1, true); (2, true); (2, false); (4, true); (4, false) ]
 
 (* Cold-vs-warm result-cache sweep on two matrix rows, against a throwaway
@@ -780,15 +800,19 @@ let cache_sweep () =
           let speedup = cold_s /. Float.max 1e-9 warm_s in
           Format.printf "%-16s %-12s %9.3fs %9.3fs %8.1fx %7b@." design property
             cold_s warm_s speedup agree;
-          Printf.sprintf
-            {|    {"design": %S, "property": %S, "method": %S,
-     "cold_s": %.3f, "warm_s": %.3f, "cache_speedup": %.1f,
-     "cold_status": %S, "warm_status": %S, "verdicts_agree": %b}|}
-            design property
-            (Emmver.method_to_string method_)
-            cold_s warm_s speedup (Emmver.cache_status_to_string cold.Emmver.cache)
-            (Emmver.cache_status_to_string warm.Emmver.cache)
-            agree)
+          Obs.Json.(
+            obj (fun b ->
+                add_field b "design" (str design);
+                add_field b "property" (str property);
+                add_field b "method" (str (Emmver.method_to_string method_));
+                add_field b "cold_s" (fixed3 cold_s);
+                add_field b "warm_s" (fixed3 warm_s);
+                add_field b "cache_speedup" (fixed1 speedup);
+                add_field b "cold_status"
+                  (str (Emmver.cache_status_to_string cold.Emmver.cache));
+                add_field b "warm_status"
+                  (str (Emmver.cache_status_to_string warm.Emmver.cache));
+                add_field b "verdicts_agree" (bool agree))))
         cells
     in
     ignore (Vcache.clear (Vcache.config ~dir:store ()));
@@ -902,13 +926,18 @@ let serve_sweep () =
             (cold_s /. Float.max 1e-9 warm_mean_s)
             warm_hits (List.length warm) agree;
           [
-            Printf.sprintf
-              {|    {"design": %S, "property": %S, "method": "emm", "submissions": %d,
-     "cold_s": %.3f, "warm_mean_s": %.3f, "serve_speedup": %.1f,
-     "warm_hits": %d, "verdicts_agree": %b}|}
-              design property n cold_s warm_mean_s
-              (cold_s /. Float.max 1e-9 warm_mean_s)
-              warm_hits agree;
+            Obs.Json.(
+              obj (fun b ->
+                  add_field b "design" (str design);
+                  add_field b "property" (str property);
+                  add_field b "method" (str "emm");
+                  add_field b "submissions" (int n);
+                  add_field b "cold_s" (fixed3 cold_s);
+                  add_field b "warm_mean_s" (fixed3 warm_mean_s);
+                  add_field b "serve_speedup"
+                    (fixed1 (cold_s /. Float.max 1e-9 warm_mean_s));
+                  add_field b "warm_hits" (int warm_hits);
+                  add_field b "verdicts_agree" (bool agree)));
           ])
   end
 
@@ -1056,42 +1085,36 @@ let solver_json () =
     else []
   in
   let cache_rows = cache_sweep () in
+  let bench =
+    let open Obs.Json in
+    let rows_field b name = function
+      | [] -> ()
+      | rows -> add_field b name (list Fun.id rows)
+    in
+    obj (fun b ->
+        add_field b "rows" (list Fun.id (List.rev !rows));
+        (* Fan-out telemetry for the verification matrix above (the raw-SAT
+           rows, when selected, run sequentially): wall vs. summed per-row
+           time is the measured speedup of this run.  The baseline reader
+           takes only "matrix_cpu_s" from this object; the per-combination
+           "domains" entries of the in-process portfolio sweep are not
+           verdict rows. *)
+        add_field b "parallel"
+          (obj (fun b ->
+               add_field b "jobs" (int !jobs);
+               add_field b "matrix_wall_s" (fixed3 matrix_wall_s);
+               add_field b "matrix_cpu_s" (fixed3 matrix_cpu_s);
+               add_field b "host_cores" (int (Domain.recommended_domain_count ()));
+               rows_field b "domains" sweep_rows));
+        (* Cold-vs-warm result-cache telemetry and daemon round trips; like
+           the sweep entries, not verdict rows, which the baseline reader
+           takes from "rows" only. *)
+        rows_field b "cache" cache_rows;
+        rows_field b "serve" serve_rows)
+  in
   let oc = open_out !out_file in
-  output_string oc "{\n  \"rows\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !rows));
-  output_string oc "\n  ],\n";
-  (* Fan-out telemetry for the verification matrix above (the raw-SAT rows,
-     when selected, run sequentially): wall vs. summed per-row time is the
-     measured speedup of this run.  The baseline reader takes only
-     "matrix_cpu_s" from this object; the per-combination "domains" entries
-     of the in-process portfolio sweep are not verdict rows. *)
-  output_string oc
-    (Printf.sprintf
-       "  \"parallel\": {\"jobs\": %d, \"matrix_wall_s\": %.3f, \"matrix_cpu_s\": %.3f, \"host_cores\": %d"
-       !jobs matrix_wall_s matrix_cpu_s
-       (Domain.recommended_domain_count ()));
-  (match sweep_rows with
-  | [] -> output_string oc "}"
-  | rows ->
-    output_string oc ",\n  \"domains\": [\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n  ]}");
-  (* Cold-vs-warm result-cache telemetry; like the sweep entries, these are
-     not verdict rows, which the baseline reader takes from "rows" only. *)
-  (match cache_rows with
-  | [] -> ()
-  | rows ->
-    output_string oc ",\n  \"cache\": [\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n  ]");
-  (* Daemon round-trip telemetry — also not verdict rows. *)
-  (match serve_rows with
-  | [] -> ()
-  | rows ->
-    output_string oc ",\n  \"serve\": [\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n  ]");
-  output_string oc "\n}\n";
+  output_string oc (Obs.Json.to_string bench);
+  output_char oc '\n';
   close_out oc;
   Format.printf "wrote %s (%d rows)@." !out_file (List.length !rows);
   (match old with

@@ -166,7 +166,7 @@ let cache_options ?(default = false) ~cache ~no_cache ~cache_dir options =
 let fallback_arg =
   let doc =
     "Comma-separated engine fallback chain (e.g. emm,explicit,bdd): run each \
-     property under the resilience policy, retrying a killed worker once and \
+     property's engines one at a time, retrying a killed worker once and \
      degrading to the next engine when one fails or exhausts its budgets."
   in
   Arg.(value & opt (some string) None & info [ "fallback" ] ~docv:"M1,M2,..." ~doc)
@@ -178,12 +178,20 @@ let parse_method name =
     Format.eprintf "%s@." msg;
     exit 2
 
-let policy_of_fallback = function
-  | None -> None
-  | Some s ->
-    let names = List.map String.trim (String.split_on_char ',' s) in
-    List.iter (fun n -> ignore (parse_method n)) names;
-    Some { Policy.default with Policy.fallback = names }
+let parse_methods s = List.map parse_method (String.split_on_char ',' s)
+
+(* The properties [-p] names (all of the design's without it); an unknown
+   name is a usage error, reported before anything forks. *)
+let select_properties design net property =
+  match Emmver.select_properties net ~design ~property with
+  | Ok props -> props
+  | Error msg ->
+    (match Netlist.properties net with
+    | [] -> Format.eprintf "%s@." msg
+    | ps ->
+      Format.eprintf "%s; its properties: %s@." msg
+        (String.concat ", " (List.map fst ps)));
+    exit 2
 
 (* Exit codes: 0 = every property proved (or honestly inconclusive with no
    error), 1 = genuine falsification, 2 = usage, 4 = a budget ran out,
@@ -233,12 +241,8 @@ let verify_cmd =
       }
       |> cache_options ~cache ~no_cache ~cache_dir
     in
-    let policy = policy_of_fallback fallback in
-    let props =
-      match property with
-      | Some p -> [ p ]
-      | None -> List.map fst (Netlist.properties net)
-    in
+    let fallback = Option.map parse_methods fallback in
+    let props = select_properties design net property in
     let worst = ref 0 in
     List.iter
       (fun (prop, outcome) ->
@@ -262,7 +266,7 @@ let verify_cmd =
             Format.printf "  waveform written to %s@." path
           | None -> ())
         | Emmver.Falsified _ | Emmver.Proved _ | Emmver.Inconclusive _ -> ())
-      (Emmver.verify_many ~options ~jobs ?policy ~method_ net ~properties:props);
+      (Emmver.verify_many ~options ~jobs ?fallback ~method_ net ~properties:props);
     !worst
     in
     exit (exit_of_rank rank)
@@ -291,7 +295,7 @@ let portfolio_cmd =
     let methods =
       match methods with
       | None -> Emmver.default_portfolio
-      | Some s -> List.map parse_method (String.split_on_char ',' s)
+      | Some s -> parse_methods s
     in
     (* [--domains N] composes with the fork race: each forked engine worker
        runs its SAT queries over an in-process Domain portfolio of N
@@ -309,11 +313,7 @@ let portfolio_cmd =
       }
       |> cache_options ~cache ~no_cache ~cache_dir
     in
-    let props =
-      match property with
-      | Some p -> [ p ]
-      | None -> List.map fst (Netlist.properties net)
-    in
+    let props = select_properties design net property in
     let worst = ref 0 in
     List.iter
       (fun prop ->

@@ -140,7 +140,7 @@ let conclusion_of_result replay_net (result : Bmc.Engine.result) =
     Inconclusive (Printf.sprintf "out of budget (%s) after depth %d" what depth)
 
 (* The typed error behind an inconclusive-for-resource-reasons verdict or a
-   refuted certificate, for the policy layer's fallback decisions. *)
+   refuted certificate, for the executor's fallback decisions. *)
 let error_of_result (result : Bmc.Engine.result) =
   match result.Bmc.Engine.certificate with
   | Cert.Refuted why -> Some (Policy.Cert_failed why)
@@ -482,7 +482,7 @@ let outcome_of_entry ~certify ~t0 net ~property (e : Vcache.entry) =
 
 let verify ?(options = default_options) ~method_ net ~property =
   (* The artifact exists to feed the store; never let it escape (outcomes
-     cross process boundaries in the worker pools). *)
+     cross process boundaries in forked workers). *)
   let finish o = { o with cert_artifact = None } in
   let uncached status =
     finish { (verify_uncached ~options ~method_ net ~property) with cache = status }
@@ -513,6 +513,15 @@ let verify ?(options = default_options) ~method_ net ~property =
         | Unusable ->
           Obs.counter_add "vcache.uncertifiable_hits" 1;
           solve_and_store ())))
+
+(* The properties a request names: the one it asks for, when the design
+   has it, or every property of the design. *)
+let select_properties net ~design ~property =
+  match (property, List.map fst (Netlist.properties net)) with
+  | Some p, ps when List.mem p ps -> Ok [ p ]
+  | Some p, _ -> Error (Printf.sprintf "design %s has no property %S" design p)
+  | None, [] -> Error (design ^ " has no properties")
+  | None, ps -> Ok ps
 
 (* {2 Parallel fan-out} *)
 
@@ -547,7 +556,7 @@ let is_infix ~affix s =
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   go 0
 
-(* Map a worker-pool failure onto the policy taxonomy.  A child that died of
+(* Map a worker failure onto the policy taxonomy.  A child that died of
    a signal, a nonzero exit, out-of-memory or a stack overflow is a killed
    worker (retryable); an exception escaping the engine — typically the
    encoder — is an encode error (not retryable, fall through). *)
@@ -567,37 +576,13 @@ let error_of_failure (f : Parallel.failure) =
 (* Engines already honour [options.timeout_s] internally and return
    [Timed_out]; the hard SIGKILL deadline is a backstop for workers stuck
    outside the solver's periodic deadline checks, so it gets slack. *)
-let hard_deadline options job_timeout_s =
-  match job_timeout_s with
-  | Some _ -> job_timeout_s
-  | None -> Option.map (fun t -> (t *. 1.25) +. 5.0) options.timeout_s
+let kill_deadline options = Option.map (fun t -> (t *. 1.25) +. 5.0) options.timeout_s
 
 let slot_outcome key = function
   | Ok o -> (key, o)
   | Error (f : Parallel.failure) ->
     let o = killed_outcome ~elapsed_s:f.Parallel.elapsed_s (Parallel.failure_message f) in
     (key, { o with error = Some (error_of_failure f) })
-
-(* {2 Policy-driven resilience} *)
-
-(* Narrow the run options to the policy's budgets. *)
-let apply_budgets options (b : Policy.budgets) =
-  {
-    options with
-    timeout_s =
-      (match (b.Policy.wall_s, options.timeout_s) with
-      | Some w, Some t -> Some (Float.min w t)
-      | Some w, None -> Some w
-      | None, t -> t);
-    max_depth =
-      (match b.Policy.max_depth with
-      | Some d -> min d options.max_depth
-      | None -> options.max_depth);
-    conflict_budget =
-      (match b.Policy.conflicts with Some _ as c -> c | None -> options.conflict_budget);
-    learnt_mb_budget =
-      (match b.Policy.learnt_mb with Some _ as m -> m | None -> options.learnt_mb_budget);
-  }
 
 (* A conclusive verdict settles the property: a proof, or a counterexample
    not known to be spurious.  [Inconclusive] and replay-refuted
@@ -609,58 +594,84 @@ let conclusive o =
   | Falsified _ -> true
   | Inconclusive _ -> false
 
-(* How one engine attempt feeds the fallback chain: a refuted certificate or
-   a resource-exhausted verdict is a failure (fall through / retry); a
-   conclusive verdict wins; anything else is an honest inconclusive kept as
-   the answer of last resort. *)
-let classify_outcome o =
-  match o.error with
-  | Some e -> Policy.Failed e
-  | None -> if conclusive o then Policy.Done o else Policy.Soft o
+(* {2 The executor: race, fallback chain and retries} *)
 
-let verify_resilient ?(options = default_options) ?(policy = Policy.default) ?inject net
-    ~property =
-  let t0 = Obs.now () in
-  let elapsed () = Obs.now () -. t0 in
-  let options = apply_budgets options policy.Policy.budgets in
-  let stages =
-    match
-      List.filter_map
-        (fun s -> Result.to_option (method_of_string s))
-        policy.Policy.fallback
-    with
-    | [] -> [ Emm_bmc ]
-    | ms -> ms
-  in
-  let run method_ ~attempt =
-    (* One forked worker per attempt: crash isolation, and a hook for the
-       fault-injection tests to kill or poison the child. *)
-    let results =
-      Parallel.map ~jobs:1
-        ?job_timeout_s:(hard_deadline options None)
-        ~f:(fun () ->
-          (match inject with Some f -> f method_ ~attempt | None -> ());
-          verify ~options ~method_ net ~property)
-        [ () ]
-    in
-    match results with
-    | [ Ok o ] -> classify_outcome o
-    | [ Error f ] -> Policy.Failed (error_of_failure f)
-    | _ -> Policy.Failed (Policy.Worker_killed "no worker result")
-  in
-  let result, events =
-    Policy.execute policy ~stages ~stage_name:method_to_string ~run
-  in
-  match result with
-  | Ok o -> { o with degradations = events }
-  | Error err ->
-    let o = killed_outcome ~elapsed_s:(elapsed ()) (Policy.error_message err) in
-    {
-      o with
-      conclusion = Inconclusive (Policy.error_message err);
-      error = Some err;
-      degradations = events;
-    }
+let default_portfolio = [ Emm_bmc; Explicit_bmc; Bdd_reach ]
+
+let portfolio ?(options = default_options) ?(methods = default_portfolio) ?jobs ?inject
+    net ~property =
+  if methods = [] then invalid_arg "Emmver.portfolio: empty method list";
+  let jobs = Option.value jobs ~default:(List.length methods) in
+  Obs.span "portfolio"
+    ~attrs:
+      [
+        ("methods", Obs.Str (String.concat "," (List.map method_to_string methods)));
+        ("jobs", Obs.Int jobs);
+      ]
+    (fun () ->
+      let t0 = Obs.now () in
+      let slots = Array.of_list methods in
+      let attempts = Array.make (Array.length slots) 0 in
+      let events = ref [] in
+      let winner = ref None in
+      let last_failure = ref None in
+      (* Every typed failure is an event; a dead worker (not a timeout, not
+         an encode error) earns its engine one immediate retry. *)
+      let fail slot error ~elapsed_s =
+        let method_ = slots.(slot) and attempt = attempts.(slot) in
+        events :=
+          {
+            Policy.ev_stage = method_to_string method_;
+            ev_attempt = attempt;
+            ev_error = error;
+            ev_elapsed_s = elapsed_s;
+          }
+          :: !events;
+        last_failure := Some (method_, error);
+        match error with
+        | Policy.Worker_killed _ when attempt = 0 ->
+          attempts.(slot) <- 1;
+          `Retry (method_, 1)
+        | _ -> `Continue
+      in
+      let settle slot = function
+        | Ok o -> (
+          match o.error with
+          | Some e -> fail slot e ~elapsed_s:o.time_s
+          | None when conclusive o ->
+            winner := Some (slots.(slot), o);
+            `Stop
+          | None -> `Continue)
+        | Error { Parallel.reason = Parallel.Cancelled; _ } -> `Continue
+        | Error f -> fail slot (error_of_failure f) ~elapsed_s:f.Parallel.elapsed_s
+      in
+      let outcomes =
+        Parallel.run ?job_timeout_s:(kill_deadline options) ~settle ~jobs
+          ~f:(fun (method_, attempt) ->
+            Option.iter (fun inject -> inject method_ ~attempt) inject;
+            verify ~options ~method_ net ~property)
+          (List.map (fun m -> (m, 0)) methods)
+        |> List.map2 slot_outcome methods
+      in
+      (* No winner: the first honest inconclusive answers, else the last
+         failure. *)
+      let method_, o =
+        match !winner with
+        | Some w -> w
+        | None -> (
+          match List.find_opt (fun (_, o) -> o.error = None) outcomes with
+          | Some soft -> soft
+          | None ->
+            let method_, err = Option.get !last_failure in
+            let msg = Policy.error_message err in
+            ( method_,
+              {
+                (killed_outcome ~elapsed_s:(Obs.now () -. t0) msg) with
+                conclusion = Inconclusive msg;
+                error = Some err;
+              } ))
+      in
+      ((method_, { o with degradations = List.rev !events }), outcomes))
 
 (* Transfer the representative's outcome to a structurally identical
    property.  The verdict transfers by cone isomorphism; the concrete trace
@@ -682,19 +693,19 @@ let retarget_dup net ~property (o : outcome) =
   in
   { o with conclusion; cache = Cache_dedup }
 
-let verify_many ?(options = default_options) ?(jobs = 1) ?job_timeout_s ?policy ~method_
-    net ~properties =
+let verify_many ?(options = default_options) ?(jobs = 1) ?fallback ~method_ net
+    ~properties =
   let verify_one property =
-    match policy with
+    match fallback with
     | None -> verify ~options ~method_ net ~property
-    | Some policy -> verify_resilient ~options ~policy net ~property
+    | Some methods -> snd (fst (portfolio ~options ~methods ~jobs:1 net ~property))
   in
   (* Intra-batch structural dedup: properties whose cones have identical
      canonical signatures are solved once and the verdict fanned out —
      independent of (and composing with) the persistent cache.  Off under
      [certify] (every property deserves its own checked evidence) and under
-     a policy (fallback chains are per-property). *)
-  let dedup_on = policy = None && (not options.certify) && List.length properties > 1 in
+     a fallback chain (chains are per-property). *)
+  let dedup_on = fallback = None && (not options.certify) && List.length properties > 1 in
   let plan =
     let seen = Hashtbl.create 16 in
     List.map
@@ -716,16 +727,15 @@ let verify_many ?(options = default_options) ?(jobs = 1) ?job_timeout_s ?policy 
       Obs.span "verify_many"
         ~attrs:[ ("jobs", Obs.Int jobs); ("properties", Obs.Int (List.length to_solve)) ]
         (fun () ->
-          let pool = Parallel.create ~jobs () in
           Parallel.run
             ?job_timeout_s:
-              (match policy with
-              | None -> hard_deadline options job_timeout_s
+              (match fallback with
+              | None -> kill_deadline options
               | Some _ ->
-                (* The resilient path forks and deadlines its own attempts; a
-                   pool deadline would kill the whole chain mid-fallback. *)
-                job_timeout_s)
-            pool ~f:verify_one to_solve
+                (* A chain forks and deadlines its own attempts; a deadline
+                   here would kill the whole chain mid-fallback. *)
+                None)
+            ~jobs ~f:verify_one to_solve
           |> List.map2 slot_outcome to_solve)
   in
   List.map
@@ -744,8 +754,8 @@ let delta_status_to_string = function
   | Delta_changed -> "changed"
   | Delta_added -> "added"
 
-let verify_delta ?(options = default_options) ?(jobs = 1) ?job_timeout_s ~method_ ~before
-    net ~properties =
+let verify_delta ?(options = default_options) ?(jobs = 1) ~method_ ~before net ~properties
+    =
   let statuses =
     List.map
       (fun p ->
@@ -756,78 +766,8 @@ let verify_delta ?(options = default_options) ?(jobs = 1) ?job_timeout_s ~method
           (p, if String.equal old_sig new_sig then Delta_unchanged else Delta_changed))
       properties
   in
-  let outcomes = verify_many ~options ~jobs ?job_timeout_s ~method_ net ~properties in
+  let outcomes = verify_many ~options ~jobs ~method_ net ~properties in
   List.map2 (fun (p, st) (_, o) -> (p, st, o)) statuses outcomes
-
-let default_portfolio = [ Emm_bmc; Explicit_bmc; Bdd_reach ]
-
-let portfolio ?(options = default_options) ?(methods = default_portfolio) ?job_timeout_s
-    ?(policy = Policy.default) net ~property =
-  if methods = [] then invalid_arg "Emmver.portfolio: empty method list";
-  let race ms =
-    Obs.span "race"
-      ~attrs:
-        [ ("methods", Obs.Str (String.concat "," (List.map method_to_string ms))) ]
-      (fun () ->
-        let pool = Parallel.create ~jobs:(List.length ms) () in
-        Parallel.race
-          ?job_timeout_s:(hard_deadline options job_timeout_s)
-          pool
-          ~f:(fun method_ -> verify ~options ~method_ net ~property)
-          ~conclusive ms)
-  in
-  let winner, results = race methods in
-  let slots = List.combine methods results in
-  (* When nobody won and some workers died, grant the dead engines one
-     re-race per the policy's worker-death retry allowance. *)
-  let dead =
-    List.filter_map
-      (fun (m, r) ->
-        match r with
-        | Error ({ Parallel.reason = Parallel.Crashed _ | Parallel.Protocol _; _ } as f)
-          -> Some (m, f)
-        | Ok _ | Error _ -> None)
-      slots
-  in
-  let winner, slots, events =
-    match (winner, dead) with
-    | None, _ :: _ when policy.Policy.worker_retries > 0 ->
-      let events =
-        List.map
-          (fun (m, f) ->
-            {
-              Policy.ev_stage = method_to_string m;
-              ev_attempt = 0;
-              ev_error = error_of_failure f;
-              ev_elapsed_s = f.Parallel.elapsed_s;
-            })
-          dead
-      in
-      let dead_methods = List.map fst dead in
-      let winner2, results2 = race dead_methods in
-      let retried = List.combine dead_methods results2 in
-      let slots =
-        List.map
-          (fun (m, r) ->
-            match List.assoc_opt m retried with Some r2 -> (m, r2) | None -> (m, r))
-          slots
-      in
-      let winner2 =
-        Option.map (fun (i, o) -> (List.nth dead_methods i, o)) winner2
-      in
-      (winner2, slots, events)
-    | Some (i, o), _ -> (Some (List.nth methods i, o), slots, [])
-    | _ -> (None, slots, [])
-  in
-  let outcomes = List.map (fun (m, r) -> slot_outcome m r) slots in
-  let win =
-    match winner with
-    | Some (m, o) -> (m, { o with degradations = events @ o.degradations })
-    | None ->
-      let m, o = List.hd outcomes in
-      (m, { o with degradations = events @ o.degradations })
-  in
-  (win, outcomes)
 
 let pp_conclusion ppf = function
   | Proved { depth; induction } ->

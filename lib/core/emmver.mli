@@ -127,9 +127,9 @@ type outcome = {
           certificate was refuted; [None] for honest inconclusives (e.g. a
           bound exhausted without a proof) and all conclusive outcomes *)
   degradations : Policy.event list;
-      (** resilience events (engine fallbacks, worker retries) accumulated on
+      (** resilience events (failed engines, worker retries) accumulated on
           the way to this outcome, chronological; empty outside
-          {!verify_resilient} / policy-driven entry points *)
+          {!portfolio} and the fallback chains built on it *)
   cache : cache_status;
       (** how the result cache participated in this outcome; on a hit,
           [time_s] is the lookup-and-validate wall clock while
@@ -172,54 +172,44 @@ val encoding_version : string
     verdict or proved depth for the same (cone, options) pair, so stale
     entries from an older generation silently miss instead of replaying. *)
 
-val verify_resilient :
-  ?options:options ->
-  ?policy:Policy.t ->
-  ?inject:(method_ -> attempt:int -> unit) ->
-  Netlist.t ->
-  property:string ->
-  outcome
-(** Run {!verify} under a resilience {!Policy.t}: the policy's budgets narrow
-    [options], each engine of the fallback chain (default
-    [emm -> explicit -> bdd]) runs in its own forked worker, and on failure —
-    a killed worker (retried up to [policy.worker_retries] on the same
-    engine), an exhausted budget, an encode error, a refuted certificate —
-    control degrades to the next engine.  The first conclusive verdict wins;
-    an honest inconclusive is kept as the answer of last resort.  Every
-    degradation is recorded in {!outcome.degradations}.  [inject] is a
-    fault-injection hook for tests, called inside the forked child before the
-    engine starts. *)
+val select_properties :
+  Netlist.t -> design:string -> property:string option -> (string list, string) result
+(** The properties a request names: [Ok [p]] when the design has [p], and
+    every property in netlist order for [None].  The errors,
+    ["design <design> has no property \"p\""] and
+    ["<design> has no properties"], are the daemon's replies and the CLI's
+    usage errors. *)
 
 val verify_many :
   ?options:options ->
   ?jobs:int ->
-  ?job_timeout_s:float ->
-  ?policy:Policy.t ->
+  ?fallback:method_ list ->
   method_:method_ ->
   Netlist.t ->
   properties:string list ->
   (string * outcome) list
 (** Check a list of properties, fanning the independent {!verify} calls out
-    over a {!Parallel} worker pool of [jobs] forked processes (default [1],
-    which runs the plain sequential loop in-process).  Results come back in
-    property order whatever the completion order, and — because every worker
-    builds its own solver in its own address space — verdicts are identical
-    for every [jobs] value.  A worker that crashes, runs out of memory or
-    exceeds [job_timeout_s] (default: [options.timeout_s] plus slack, when
-    set) is SIGKILLed and its property reports
+    over [jobs] forked {!Parallel} workers (default [1], which runs the
+    plain sequential loop in-process).  Results come back in property order
+    whatever the completion order, and — because every worker builds its
+    own solver in its own address space — verdicts are identical for every
+    [jobs] value.  A worker that crashes, runs out of memory or outlives
+    {!kill_deadline} is SIGKILLed and its property reports
     [Inconclusive "worker killed: ..."] carrying the elapsed wall clock,
-    without disturbing the other properties.  With [policy], each property
-    runs through {!verify_resilient} instead (and the pool's own kill
-    deadline is suppressed so it cannot truncate a fallback chain).
+    without disturbing the other properties.
+
+    With [fallback], [method_] is unused: each property runs the chain
+    [portfolio ~methods:fallback ~jobs:1], whose engines carry their own
+    kill deadlines.
 
     Properties whose verification cones are structurally identical (equal
     {!Netlist.cone_signature}) are solved once per batch; the others receive
     the representative's verdict with [cache = Cache_dedup], their trace
     re-replayed under their own name.  The dedup needs no store and works
     with caching off; it is disabled under [options.certify] (each property
-    deserves its own checked evidence) and under [policy] (fallback chains
-    are per-property), and never changes verdicts — only how often the
-    solver runs. *)
+    deserves its own checked evidence) and under [fallback] (chains are
+    per-property), and never changes verdicts — only how often the solver
+    runs. *)
 
 type delta_status =
   | Delta_unchanged  (** same canonical cone in both designs *)
@@ -231,7 +221,6 @@ val delta_status_to_string : delta_status -> string
 val verify_delta :
   ?options:options ->
   ?jobs:int ->
-  ?job_timeout_s:float ->
   method_:method_ ->
   before:Netlist.t ->
   Netlist.t ->
@@ -250,31 +239,49 @@ val killed_outcome : elapsed_s:float -> string -> outcome
 (** The outcome substituted for a worker that died without producing one:
     [Inconclusive "worker killed: <msg>"] with [time_s = elapsed_s] and
     zeroed statistics.  {!verify_many} and {!portfolio} use it internally;
-    it is exposed for layers (CLI, bench) that fan {!verify} calls out over
-    {!Parallel} themselves. *)
+    it is exposed for layers (daemon, bench) that fan {!verify} calls out
+    over {!Parallel} themselves. *)
+
+val kill_deadline : options -> float option
+(** The SIGKILL backstop for a forked {!verify}: [1.25 * timeout_s + 5]
+    seconds ([None] without a timeout), slack for the engine's own timeout
+    to return first.  The one rule of {!verify_many}, {!portfolio} and the
+    daemon. *)
 
 val default_portfolio : method_ list
-(** [[Emm_bmc; Explicit_bmc; Bdd_reach]] — the engines raced by
-    {!portfolio}. *)
+(** [[Emm_bmc; Explicit_bmc; Bdd_reach]] — the engines {!portfolio} runs
+    by default. *)
 
 val portfolio :
   ?options:options ->
   ?methods:method_ list ->
-  ?job_timeout_s:float ->
-  ?policy:Policy.t ->
+  ?jobs:int ->
+  ?inject:(method_ -> attempt:int -> unit) ->
   Netlist.t ->
   property:string ->
   (method_ * outcome) * (method_ * outcome) list
-(** Race several engines on one property in parallel forked workers; the
-    first {e conclusive} verdict — a proof, or a counterexample that is not
-    known to be spurious — wins and the losers are SIGKILLed.  Returns the
-    winner plus the per-method outcomes in [methods] order (losers report
-    [Inconclusive "worker killed: cancelled ..."]).  When no engine
-    concludes, the winner slot falls back to the first engine's outcome.
-    When no engine concluded {e and} some workers died (crashed, out of
-    memory — not merely cancelled or timed out), the dead engines get one
-    re-race if [policy.worker_retries > 0]; the retry is recorded in the
-    winner's {!outcome.degradations}. *)
+(** The executor: run the engines of [methods] on one property, each in a
+    forked worker, at most [jobs] at a time in [methods] order (default:
+    all at once, a race; [~jobs:1] is the fallback chain).
+
+    - The first {e conclusive} outcome (a proof, or a counterexample not
+      known to be spurious, with no typed [error]) wins; the other engines
+      are SIGKILLed or never started, and report
+      [Inconclusive "worker killed: cancelled ..."].
+    - Every typed failure, an outcome's [error] or a dead, raising or
+      overdue ({!kill_deadline}) worker, is recorded as a {!Policy.event}.
+    - A dead worker ([Worker_killed]) gets one immediate retry, ahead of
+      every engine not yet started; timeouts and encode errors do not.
+    - Without a winner, the first honest inconclusive in [methods] order
+      answers; failing that, the last failure, as
+      [Inconclusive "<Policy.error_message e>"] with [error = Some e].
+
+    Returns the answering engine and its outcome, whose
+    {!outcome.degradations} lists every event in order, plus each engine's
+    own outcome in [methods] order.  [inject] is a fault-injection hook
+    for tests, called in the forked child before the engine starts.  The
+    run is one ["portfolio"] span with [methods] and [jobs] attributes.
+    @raise Invalid_argument on an empty [methods]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_conclusion : Format.formatter -> conclusion -> unit

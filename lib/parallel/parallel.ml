@@ -1,4 +1,4 @@
-(* Fork-per-job worker pool.  See parallel.mli for the contract.
+(* Fork-per-job workers on one loop.  See parallel.mli for the contract.
 
    Parent-side machinery: one pipe per live worker, a select loop that
    drains result bytes as they are produced (so a result larger than the
@@ -23,41 +23,7 @@ let failure_message f =
 
 type 'a job_result = ('a, failure) result
 
-type t = {
-  max_jobs : int;
-  mutable n_spawned : int;
-  mutable n_completed : int;
-  mutable n_crashed : int;
-  mutable n_timed_out : int;
-  mutable n_cancelled : int;
-}
-
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
-let create ?jobs () =
-  let max_jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
-  { max_jobs; n_spawned = 0; n_completed = 0; n_crashed = 0; n_timed_out = 0; n_cancelled = 0 }
-
-let jobs t = t.max_jobs
-
-type stats = {
-  spawned : int;
-  completed : int;
-  crashed : int;
-  timed_out : int;
-  cancelled : int;
-}
-
-let stats t =
-  {
-    spawned = t.n_spawned;
-    completed = t.n_completed;
-    crashed = t.n_crashed;
-    timed_out = t.n_timed_out;
-    cancelled = t.n_cancelled;
-  }
 
 (* {2 Worker side} *)
 
@@ -101,43 +67,16 @@ let exec_child wfd f x =
 
 (* {2 Parent side} *)
 
-type worker = {
-  idx : int;
+(* One forked job computing a ['b]. *)
+type 'b handle = {
   pid : int;
   fd : Unix.file_descr;
   buf : Buffer.t;
   started : float;
   kill_at : float option;
   mutable killed : reason option;  (* set when we SIGKILLed it ourselves *)
+  mutable settled : bool;
 }
-
-let spawn t ~job_timeout_s ~f idx x =
-  (* Anything buffered on the standard channels would be flushed twice —
-     once per process — if it survived the fork. *)
-  flush stdout;
-  flush stderr;
-  let rfd, wfd = Unix.pipe ~cloexec:false () in
-  match Unix.fork () with
-  | 0 ->
-    (try Unix.close rfd with _ -> ());
-    exec_child wfd f x
-  | pid ->
-    Unix.close wfd;
-    t.n_spawned <- t.n_spawned + 1;
-    let now = Unix.gettimeofday () in
-    {
-      idx;
-      pid;
-      fd = rfd;
-      buf = Buffer.create 1024;
-      started = now;
-      kill_at = Option.map (fun d -> now +. d) job_timeout_s;
-      killed = None;
-    }
-
-let kill_worker w reason =
-  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  w.killed <- Some reason
 
 let signal_name s =
   if s = Sys.sigkill then "SIGKILL"
@@ -151,22 +90,16 @@ let signal_name s =
 (* The worker's pipe hit EOF: reap the process and produce its slot's
    result.  A deadline or cancellation kill takes precedence over whatever
    the dying worker managed to write. *)
-let post_mortem t w =
-  (try Unix.close w.fd with Unix.Unix_error _ -> ());
-  let _, status = retry_eintr (fun () -> Unix.waitpid [] w.pid) in
-  let elapsed_s = Unix.gettimeofday () -. w.started in
-  let fail reason =
-    (match reason with
-    | Timed_out _ -> t.n_timed_out <- t.n_timed_out + 1
-    | Cancelled -> t.n_cancelled <- t.n_cancelled + 1
-    | Crashed _ | Protocol _ -> t.n_crashed <- t.n_crashed + 1);
-    Error { reason; elapsed_s }
-  in
-  match (w.killed, status) with
+let post_mortem h =
+  (try Unix.close h.fd with Unix.Unix_error _ -> ());
+  let _, status = retry_eintr (fun () -> Unix.waitpid [] h.pid) in
+  let elapsed_s = Unix.gettimeofday () -. h.started in
+  let fail reason = Error { reason; elapsed_s } in
+  match (h.killed, status) with
   | Some reason, _ -> fail reason
   | None, Unix.WEXITED 0 -> (
     match
-      (try Ok (Marshal.from_bytes (Buffer.to_bytes w.buf) 0)
+      (try Ok (Marshal.from_bytes (Buffer.to_bytes h.buf) 0)
        with e -> Error (Printexc.to_string e))
     with
     | Ok ((res : (_, string) result), (obs_rows : Obs.row list)) -> (
@@ -175,144 +108,146 @@ let post_mortem t w =
          produced a well-formed partial trace worth keeping. *)
       Obs.ingest_current obs_rows;
       match res with
-      | Ok v ->
-        t.n_completed <- t.n_completed + 1;
-        Ok v
+      | Ok v -> Ok v
       | Error exn_text -> fail (Crashed ("uncaught exception: " ^ exn_text)))
     | Error why -> fail (Protocol why))
   | None, Unix.WEXITED code -> fail (Crashed (Printf.sprintf "exit %d" code))
   | None, Unix.WSIGNALED s | None, Unix.WSTOPPED s ->
     fail (Crashed ("killed by " ^ signal_name s))
 
-(* Core loop shared by [run] and [race].  [on_done idx result] is called as
-   each slot settles and may return [`Stop] to cancel everything still
-   pending or running. *)
-let drive t ~job_timeout_s ~f ~on_done xs =
-  let xs = Array.of_list xs in
-  let n = Array.length xs in
-  let results = Array.make n None in
-  let next = ref 0 in
-  let running = ref [] in
-  let stopped = ref false in
-  let settle w result =
-    results.(w.idx) <- Some result;
-    running := List.filter (fun w' -> w'.pid <> w.pid) !running;
-    match on_done w.idx result with `Stop -> stopped := true | `Continue -> ()
-  in
-  (* An exception escaping the loop (fork failure, a raising [on_done]
-     callback) must not abandon live children: kill, close and reap every
-     running worker before letting it propagate, or each aborted drive
-     leaks zombies for the life of the parent. *)
-  let abandon_running () =
-    List.iter
-      (fun w ->
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try Unix.close w.fd with Unix.Unix_error _ -> ());
-        (try ignore (retry_eintr (fun () -> Unix.waitpid [] w.pid))
-         with Unix.Unix_error _ -> ()))
-      !running;
-    running := []
-  in
-  try
-  while (not !stopped && !next < n) || !running <> [] do
-    if !stopped then
-      (* Cancel the survivors: kill everyone still running; their EOFs are
-         collected below.  Unstarted jobs settle immediately. *)
-      List.iter
-        (fun w -> if w.killed = None then kill_worker w Cancelled)
-        !running
-    else
-      while !next < n && List.length !running < t.max_jobs do
-        running := spawn t ~job_timeout_s ~f !next xs.(!next) :: !running;
-        incr next
-      done;
-    let now = Unix.gettimeofday () in
-    (* Enforce deadlines, and size the select timeout to the nearest one. *)
-    let wait =
-      List.fold_left
-        (fun wait w ->
-          match w.kill_at with
-          | Some ka when w.killed = None ->
-            if ka <= now then begin
-              kill_worker w
-                (Timed_out (ka -. w.started));
-              wait
-            end
-            else min wait (ka -. now)
-          | _ -> wait)
-        0.5 !running
-    in
-    let fds = List.map (fun w -> w.fd) !running in
-    if fds <> [] then begin
-      let readable, _, _ =
-        retry_eintr (fun () -> Unix.select fds [] [] (max 0.01 wait))
-      in
-      let chunk = Bytes.create 65536 in
-      List.iter
-        (fun w ->
-          if List.mem w.fd readable then
-            let k = retry_eintr (fun () -> Unix.read w.fd chunk 0 (Bytes.length chunk)) in
-            if k = 0 then settle w (post_mortem t w)
-            else Buffer.add_subbytes w.buf chunk 0 k)
-        !running
-    end
-  done;
-  (* Slots never started because a race concluded first. *)
-  for i = 0 to n - 1 do
-    if results.(i) = None then begin
-      t.n_cancelled <- t.n_cancelled + 1;
-      results.(i) <- Some (Error { reason = Cancelled; elapsed_s = 0.0 })
-    end
-  done;
-  Array.to_list (Array.map Option.get results)
-  with e ->
-    abandon_running ();
-    raise e
+(* {2 One job at a time}
 
-let run ?job_timeout_s t ~f xs =
-  drive t ~job_timeout_s ~f ~on_done:(fun _ _ -> `Continue) xs
-
-(* {2 Incremental (daemon) interface}
-
-   [drive] owns its select loop, which suits batch callers; a long-running
-   server multiplexes worker pipes with client sockets in one loop of its
-   own, so it needs the pieces individually: spawn one job, select on its
-   pipe, drain bytes when readable, settle on EOF.  The handle wraps the
-   same [worker] record and the same [post_mortem], so crash containment,
-   deadline kills and trace-row ingestion behave identically to [run]. *)
+   The daemon's select loop and [run] below both drive these handles, so
+   bytes, EOF, post-mortem and deadline kills go through them only. *)
 
 module Async = struct
-  type 'b handle = { w : worker; mutable settled : bool }
+  type nonrec 'b handle = 'b handle
 
-  let spawn t ?job_timeout_s ~f x = { w = spawn t ~job_timeout_s ~f 0 x; settled = false }
+  let spawn ?job_timeout_s ~f x =
+    (* Anything buffered on the standard channels would be flushed twice —
+       once per process — if it survived the fork. *)
+    flush stdout;
+    flush stderr;
+    let rfd, wfd = Unix.pipe ~cloexec:false () in
+    match Unix.fork () with
+    | 0 ->
+      (try Unix.close rfd with _ -> ());
+      exec_child wfd f x
+    | pid ->
+      Unix.close wfd;
+      let now = Unix.gettimeofday () in
+      {
+        pid;
+        fd = rfd;
+        buf = Buffer.create 1024;
+        started = now;
+        kill_at = Option.map (fun d -> now +. d) job_timeout_s;
+        killed = None;
+        settled = false;
+      }
 
-  let fd h = h.w.fd
-  let pid h = h.w.pid
-  let elapsed_s h = Unix.gettimeofday () -. h.w.started
+  let fd h = h.fd
+  let pid h = h.pid
 
-  let kill _t h reason = if h.w.killed = None then kill_worker h.w reason
+  let kill h reason =
+    if h.killed = None then begin
+      (try Unix.kill h.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      h.killed <- Some reason
+    end
 
-  let cancel t h = kill t h Cancelled
+  let cancel h = kill h Cancelled
 
-  let check_deadline t h =
-    match h.w.kill_at with
-    | Some ka when h.w.killed = None && ka <= Unix.gettimeofday () ->
-      kill t h (Timed_out (ka -. h.w.started))
+  let check_deadline h =
+    match h.kill_at with
+    | Some ka when h.killed = None && ka <= Unix.gettimeofday () ->
+      kill h (Timed_out (ka -. h.started))
     | _ -> ()
 
-  let service t h =
+  let service h =
     if h.settled then invalid_arg "Parallel.Async.service: handle already settled";
     let chunk = Bytes.create 65536 in
-    let k = retry_eintr (fun () -> Unix.read h.w.fd chunk 0 (Bytes.length chunk)) in
+    let k = retry_eintr (fun () -> Unix.read h.fd chunk 0 (Bytes.length chunk)) in
     if k = 0 then begin
       h.settled <- true;
-      Some (post_mortem t h.w)
+      Some (post_mortem h)
     end
     else begin
-      Buffer.add_subbytes h.w.buf chunk 0 k;
+      Buffer.add_subbytes h.buf chunk 0 k;
       None
     end
 end
+
+(* {2 The batch loop} *)
+
+let run ?job_timeout_s ?(settle = fun _ _ -> `Continue) ~jobs ~f xs =
+  let cancelled = Error { reason = Cancelled; elapsed_s = 0.0 } in
+  let results = Array.make (List.length xs) cancelled in
+  (* Slots not yet started, in start order: a retry joins at the front. *)
+  let todo = ref (List.mapi (fun slot x -> (slot, x)) xs) in
+  let running = ref [] in
+  let stopped = ref false in
+  let finish slot result =
+    results.(slot) <- result;
+    if not !stopped then
+      match settle slot result with
+      | `Continue -> ()
+      | `Retry x ->
+        results.(slot) <- cancelled;
+        todo := (slot, x) :: !todo
+      | `Stop ->
+        stopped := true;
+        todo := [];
+        List.iter (fun (_, h) -> Async.cancel h) !running
+  in
+  try
+    while !todo <> [] || !running <> [] do
+      while !todo <> [] && List.length !running < max 1 jobs do
+        match !todo with
+        | (slot, x) :: rest ->
+          todo := rest;
+          running := (slot, Async.spawn ?job_timeout_s ~f x) :: !running
+        | [] -> ()
+      done;
+      (* Enforce deadlines, and size the select timeout to the nearest one. *)
+      let now = Unix.gettimeofday () in
+      let wait =
+        List.fold_left
+          (fun wait (_, h) ->
+            Async.check_deadline h;
+            match h.kill_at with
+            | Some ka when h.killed = None -> Float.min wait (ka -. now)
+            | _ -> wait)
+          0.5 !running
+      in
+      let readable, _, _ =
+        retry_eintr (fun () ->
+            Unix.select (List.map (fun (_, h) -> Async.fd h) !running) [] []
+              (Float.max 0.01 wait))
+      in
+      List.iter
+        (fun (slot, h) ->
+          if List.mem (Async.fd h) readable then
+            match Async.service h with
+            | None -> ()
+            | Some result ->
+              running := List.filter (fun (_, h') -> h' != h) !running;
+              finish slot result)
+        !running
+    done;
+    Array.to_list results
+  with e ->
+    (* An exception escaping the loop (fork failure, a raising [settle])
+       must not abandon live children: kill, close and reap every running
+       worker before letting it propagate, or each aborted run leaks
+       zombies for the life of the parent. *)
+    List.iter
+      (fun (_, h) ->
+        Async.cancel h;
+        (try Unix.close (Async.fd h) with Unix.Unix_error _ -> ());
+        try ignore (retry_eintr (fun () -> Unix.waitpid [] (Async.pid h)))
+        with Unix.Unix_error _ -> ())
+      !running;
+    raise e
 
 (* {2 Orphan reaping}
 
@@ -361,17 +296,3 @@ let reap_orphan ~pid ~token =
       | () -> true
       | exception Unix.Unix_error _ -> false)
     | _ -> false
-
-let map ?jobs ?job_timeout_s ~f xs = run ?job_timeout_s (create ?jobs ()) ~f xs
-
-let race ?job_timeout_s t ~f ~conclusive xs =
-  let winner = ref None in
-  let on_done idx result =
-    match result with
-    | Ok v when !winner = None && conclusive v ->
-      winner := Some (idx, v);
-      `Stop
-    | _ -> `Continue
-  in
-  let results = drive t ~job_timeout_s ~f ~on_done xs in
-  (!winner, results)

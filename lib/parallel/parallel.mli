@@ -23,8 +23,14 @@
       while every other job runs to completion.
 
     Results are returned in {b job order}, regardless of completion order:
-    [run pool ~f [x0; x1; x2]] always pairs slot [i] with [f xi].  Scheduling
-    order is therefore unobservable and [-j N] cannot change verdicts.
+    [run ~jobs ~f [x0; x1; x2]] always pairs slot [i] with [f xi].
+    Scheduling order is therefore unobservable and [-j N] cannot change
+    verdicts.
+
+    There is one worker loop: {!run} is a batch, a race or a retrying
+    chain depending only on its [settle] callback.  It drives the {!Async}
+    handles the daemon multiplexes itself, so result bytes, EOF, the
+    post-mortem and deadline kills are handled in one place.
 
     {b Tracing}: when an [Obs] recorder is current in the parent, each job
     runs under [Obs.worker_scope] — the child records its own pid-annotated
@@ -38,7 +44,9 @@ type reason =
       (** the worker exited non-zero, died on a signal, or raised an
           exception ([Crashed "uncaught exception: ..."]) *)
   | Timed_out of float  (** the per-job deadline, in seconds, that expired *)
-  | Cancelled  (** killed (or never started) because a {!race} concluded *)
+  | Cancelled
+      (** killed (or never started) because [settle] stopped a {!run}, or
+          cancelled through {!Async.cancel} *)
   | Protocol of string
       (** the worker exited 0 but its result could not be read back *)
 
@@ -55,88 +63,69 @@ val failure_message : failure -> string
 
 type 'a job_result = ('a, failure) result
 
-(** {2 Pools}
-
-    A pool is a concurrency cap plus cumulative counters; it holds no live
-    processes between calls, so one pool can be reused across any number of
-    batches (the counters accumulate). *)
-
-type t
-
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] makes a pool running at most [jobs] workers at once
-    (default {!default_jobs}; values [< 1] are clamped to [1]). *)
-
-val jobs : t -> int
-
 val default_jobs : unit -> int
 (** The host's available core count ([Domain.recommended_domain_count]). *)
 
-type stats = {
-  spawned : int;  (** workers forked over the pool's lifetime *)
-  completed : int;  (** workers that returned a result *)
-  crashed : int;
-  timed_out : int;
-  cancelled : int;
-}
-
-val stats : t -> stats
-
-(** {2 Running batches} *)
+(** {2 Running jobs} *)
 
 val run :
-  ?job_timeout_s:float -> t -> f:('a -> 'b) -> 'a list -> 'b job_result list
-(** [run pool ~f xs] executes [f x] for every [x] in a forked worker, at
-    most [jobs pool] at a time, and returns the results in job order.
-    [job_timeout_s] is a hard per-job wall-clock deadline: a worker still
-    alive that long after its own fork is SIGKILLed and its slot reports
-    [Timed_out].  The call only raises on pool-level system errors (e.g.
-    [fork] itself failing); per-job failures are values.  If such an error
-    does escape, every worker still running is SIGKILLed and reaped before
-    the exception propagates — an aborted batch never leaks child
-    processes, and a pool can be reused for any number of batches without
-    accumulating zombies. *)
+  ?job_timeout_s:float ->
+  ?settle:(int -> 'b job_result -> [ `Continue | `Stop | `Retry of 'a ]) ->
+  jobs:int ->
+  f:('a -> 'b) ->
+  'a list ->
+  'b job_result list
+(** [run ~jobs ~f xs] executes [f x] for every [x] in a forked worker, at
+    most [jobs] at a time (at least one), starting the slots in list order,
+    and returns the results in job order.  [job_timeout_s] is a hard
+    per-job wall-clock deadline: a worker still alive that long after its
+    own fork is SIGKILLed and its slot reports [Timed_out].
 
-val map :
-  ?jobs:int -> ?job_timeout_s:float -> f:('a -> 'b) -> 'a list -> 'b job_result list
-(** One-shot convenience: [map ~jobs ~f xs = run (create ~jobs ()) ~f xs]. *)
+    [settle slot result] is called once per finished worker, in completion
+    order, and says what happens next:
+
+    - [`Continue] (the default): nothing; a batch.
+    - [`Stop]: a race was won.  Running workers are SIGKILLed and unstarted
+      slots are dropped; they report [Cancelled].  [settle] is not called
+      again.
+    - [`Retry x]: run the slot again on [x], ahead of every slot not yet
+      started; the slot reports the retry's result ([Cancelled] if a
+      [`Stop] drops the retry first).
+
+    Per-job failures are values; the call raises only on system errors
+    (e.g. [fork] failing) or when [settle] raises, and then SIGKILLs and
+    reaps every running worker first, so an aborted run leaks no child
+    processes. *)
 
 (** {2 Incremental jobs}
 
-    The daemon-facing interface: the serve layer multiplexes worker pipes
-    with client sockets in one select loop of its own, so it spawns jobs
-    one at a time and services each pipe as it becomes readable.  The same
-    worker machinery as {!run} backs it — crash containment, SIGKILL
-    deadlines and trace-row ingestion behave identically. *)
+    The handles {!run} drives, for the daemon: it multiplexes worker pipes
+    with client sockets in a select loop of its own, spawning jobs one at a
+    time and servicing each pipe as it becomes readable. *)
 
 module Async : sig
   type 'b handle
   (** One live forked job computing a ['b]. *)
 
-  val spawn : t -> ?job_timeout_s:float -> f:('a -> 'b) -> 'a -> 'b handle
-  (** Fork one worker computing [f x].  Counts against the pool's
-      cumulative {!stats} but {e not} against its concurrency cap — the
-      caller schedules admission. *)
+  val spawn : ?job_timeout_s:float -> f:('a -> 'b) -> 'a -> 'b handle
+  (** Fork one worker computing [f x].  The caller schedules admission. *)
 
   val fd : _ handle -> Unix.file_descr
   (** The parent's read end of the result pipe: select on this. *)
 
   val pid : _ handle -> int
 
-  val elapsed_s : _ handle -> float
-  (** Wall-clock seconds since the fork. *)
-
-  val service : t -> 'b handle -> 'b job_result option
+  val service : 'b handle -> 'b job_result option
   (** Call when {!fd} is readable: drains available result bytes.  [None]
       while the worker is still producing; [Some result] once the pipe hit
       EOF — the child is then reaped, the fd closed, and the handle must
       not be serviced again ([Invalid_argument] if it is). *)
 
-  val cancel : t -> _ handle -> unit
+  val cancel : _ handle -> unit
   (** SIGKILL the worker; its eventual {!service} settles with
       [Cancelled].  Idempotent, and a no-op after a deadline kill. *)
 
-  val check_deadline : t -> _ handle -> unit
+  val check_deadline : _ handle -> unit
   (** SIGKILL the worker if its [job_timeout_s] deadline has passed; the
       eventual {!service} then settles with [Timed_out].  The caller's
       loop invokes this on its own tick. *)
@@ -163,23 +152,3 @@ val reap_orphan : pid:int -> token:string -> bool
     A [token] of [""] never kills (an unreadable token at spawn must not
     license killing an arbitrary pid later).  The orphan is init's child,
     not ours, so there is nothing to [waitpid] — init reaps it. *)
-
-(** {2 Racing}
-
-    The portfolio combinator: run all candidates concurrently and stop as
-    soon as one of them produces a result the caller deems conclusive. *)
-
-val race :
-  ?job_timeout_s:float ->
-  t ->
-  f:('a -> 'b) ->
-  conclusive:('b -> bool) ->
-  'a list ->
-  (int * 'b) option * 'b job_result list
-(** [race pool ~f ~conclusive xs] runs every job as {!run} does, but the
-    first completed result [v] with [conclusive v = true] wins: all other
-    workers are SIGKILLed, unstarted jobs are dropped, and both report
-    [Cancelled].  Returns the winner as [(index into xs, value)] — [None]
-    if no job produced a conclusive result — together with the full
-    job-ordered result list (the winner appears in its slot; losers appear
-    as the failures or inconclusive values they produced). *)

@@ -1,13 +1,12 @@
-(** Resilience policy: resource budgets, a typed failure taxonomy and a
-    declarative engine-fallback chain.
+(** The vocabulary of degraded runs: a typed failure taxonomy, resource
+    budgets and degradation events.
 
     A verification run should degrade, not die: when an engine exhausts its
     budget, its worker process is killed, its encoder raises, or its
-    certificate fails to check, the policy layer records a degradation
-    {!event} and moves on — to a retry of the same engine (worker death
-    only) or to the next engine in the {!t.fallback} chain.  The generic
-    executor {!execute} implements exactly this loop; [Emmver] instantiates
-    it with real engines. *)
+    certificate fails to check, the run records a degradation {!event} and
+    moves on — to a retry of the same engine (worker death only) or to the
+    next engine.  The executor that does this is [Emmver.portfolio]; this
+    module only names what it records. *)
 
 type error =
   | Budget_exhausted of string
@@ -42,37 +41,3 @@ type event = {
 }
 
 val pp_event : Format.formatter -> event -> unit
-
-type t = {
-  budgets : budgets;
-  fallback : string list;
-      (** stage names tried in order, e.g. [["emm"; "explicit"; "bdd"]] *)
-  worker_retries : int;
-      (** extra attempts granted to a stage whose {e worker} died (other
-          failures advance to the next stage immediately) *)
-}
-
-val default : t
-(** [emm -> explicit -> bdd], one retry on worker death, unlimited
-    budgets. *)
-
-type 'r attempt_result =
-  | Done of 'r  (** conclusive — stop here *)
-  | Soft of 'r
-      (** inconclusive but honest (e.g. bounded-safe); kept as the answer of
-          last resort while later stages are tried *)
-  | Failed of error  (** the stage failed; consult the policy *)
-
-val execute :
-  ?on_event:(event -> unit) ->
-  t ->
-  stages:'s list ->
-  stage_name:('s -> string) ->
-  run:('s -> attempt:int -> 'r attempt_result) ->
-  ('r, error) result * event list
-(** Run the stages in order until one returns [Done].  A [Failed] with
-    {!Worker_killed} is retried on the same stage up to [worker_retries]
-    times; any other failure advances the chain.  When no stage concludes,
-    the first [Soft] result (if any) is returned as [Ok]; otherwise the last
-    error.  Degradation events are returned in chronological order and also
-    streamed to [on_event]. *)

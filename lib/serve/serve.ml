@@ -198,7 +198,6 @@ module Server = struct
     gc_policy : Vcache.gc_policy;
     gc_interval_s : float;
     budgets : Policy.budgets;
-    kill_grace_s : float;
     quiet : bool;
     journal : string option;
     runner :
@@ -207,8 +206,8 @@ module Server = struct
   }
 
   let config ?workers ?(max_queue = 64) ?cache_dir ?(gc_policy = Vcache.gc_policy ())
-      ?(gc_interval_s = 60.0) ?(budgets = Policy.unlimited) ?(kill_grace_s = 10.0)
-      ?(quiet = false) ?journal ?runner ~socket () =
+      ?(gc_interval_s = 60.0) ?(budgets = Policy.unlimited) ?(quiet = false) ?journal
+      ?runner ~socket () =
     {
       socket;
       workers = (match workers with Some w -> max 1 w | None -> Parallel.default_jobs ());
@@ -218,7 +217,6 @@ module Server = struct
       gc_policy;
       gc_interval_s;
       budgets;
-      kill_grace_s;
       quiet;
       journal;
       runner;
@@ -272,7 +270,6 @@ module Server = struct
 
   type state = {
     cfg : config;
-    pool : Parallel.t;
     listen_fd : Unix.file_descr;
     jnl : Journal.t option;
     conns : (int, conn) Hashtbl.t;
@@ -392,7 +389,7 @@ module Server = struct
         (fun (j, h) ->
           if j.j_conn = conn.cid && not j.j_abandoned then begin
             j.j_abandoned <- true;
-            Parallel.Async.cancel st.pool h
+            Parallel.Async.cancel h
           end)
         st.running;
       log st "client %s (conn %d) disconnected" conn.client conn.cid
@@ -482,11 +479,7 @@ module Server = struct
     let* method_ = Emmver.method_of_string s.s_method in
     let* net = load_design s.s_design in
     let* props =
-      match (s.s_property, List.map fst (Netlist.properties net)) with
-      | Some p, ps when List.mem p ps -> Ok [ p ]
-      | Some p, _ -> Error (Printf.sprintf "design %s has no property %S" s.s_design p)
-      | None, [] -> Error (s.s_design ^ " has no properties")
-      | None, ps -> Ok ps
+      Emmver.select_properties net ~design:s.s_design ~property:s.s_property
     in
     Ok (method_, net, props)
 
@@ -508,8 +501,7 @@ module Server = struct
         j_tenant = tenant;
         j_property = property;
         j_method = s.s_method;
-        j_kill_s =
-          Option.map (fun t -> t +. st.cfg.kill_grace_s) options.Emmver.timeout_s;
+        j_kill_s = Emmver.kill_deadline options;
         j_run = run;
         j_state = Queued;
         j_abandoned = false;
@@ -884,7 +876,7 @@ module Server = struct
       | Some j ->
         let run = j.j_run in
         let h =
-          Parallel.Async.spawn st.pool ?job_timeout_s:j.j_kill_s
+          Parallel.Async.spawn ?job_timeout_s:j.j_kill_s
             ~f:(fun () ->
               close_daemon_fds st;
               run ())
@@ -908,11 +900,11 @@ module Server = struct
     List.iter
       (fun (j, h) ->
         if List.mem (Parallel.Async.fd h) readable then
-          match Parallel.Async.service st.pool h with
+          match Parallel.Async.service h with
           | Some result -> deliver st j result
           | None -> still := (j, h) :: !still
         else begin
-          Parallel.Async.check_deadline st.pool h;
+          Parallel.Async.check_deadline h;
           still := (j, h) :: !still
         end)
       st.running;
@@ -1034,7 +1026,6 @@ module Server = struct
     let st =
       {
         cfg;
-        pool = Parallel.create ~jobs:cfg.workers ();
         listen_fd;
         jnl = Option.map fst journal;
         conns = Hashtbl.create 16;

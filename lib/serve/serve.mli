@@ -2,8 +2,8 @@
 
     One long-running process amortizes everything the platform built for a
     single CLI invocation across many callers: the content-addressed result
-    cache ({!Vcache}) stays warm, the fork worker pool ({!Parallel})
-    absorbs crashes and deadline kills, and {!Obs} counters become a live
+    cache ({!Vcache}) stays warm, forked workers ({!Parallel.Async})
+    absorb crashes and deadline kills, and {!Obs} counters become a live
     metrics endpoint.  The daemon listens on a {e Unix-domain socket} and
     speaks a newline-delimited JSON {e line protocol} — one request or
     reply per line, no framing beyond ['\n'], no dependencies beyond
@@ -18,8 +18,9 @@
       dispatched round-robin across clients, so a flooding tenant cannot
       starve the others;
     - {b per-job budgets} from {!Policy.budgets}: the server clamps every
-      submission's depth/timeout to its configured ceilings and enforces
-      the wall budget with a SIGKILL deadline on the worker;
+      submission's depth/timeout to its configured ceilings and backs the
+      wall budget with the SIGKILL deadline {!Emmver.kill_deadline} on the
+      worker;
     - {b crash containment}: each job runs in a forked worker
       ({!Parallel.Async}); a crashing or overrunning job reports an
       [inconclusive] result for itself and nothing else;
@@ -82,10 +83,6 @@ module Server : sig
         (** per-job ceilings: submissions are clamped to [max_depth] /
             [wall_s], and [conflicts] / [learnt_mb] are forced onto every
             job's options *)
-    kill_grace_s : float;
-        (** slack added to a job's wall budget before the SIGKILL deadline
-            fires, so the engine's own timeout gets to return a clean
-            [Inconclusive] first *)
     quiet : bool;  (** suppress the per-event log lines on stdout *)
     journal : string option;
         (** write-ahead job journal path; [None] (the default) disables
@@ -104,7 +101,6 @@ module Server : sig
     ?gc_policy:Vcache.gc_policy ->
     ?gc_interval_s:float ->
     ?budgets:Policy.budgets ->
-    ?kill_grace_s:float ->
     ?quiet:bool ->
     ?journal:string ->
     ?runner:(Proto.submit -> property:string -> options:Emmver.options ->
@@ -114,8 +110,10 @@ module Server : sig
     config
   (** Defaults: [workers = Parallel.default_jobs ()], [max_queue = 64],
       [cache_dir = Some (Vcache.default_dir ())], no watermarks,
-      [gc_interval_s = 60.], unlimited budgets, [kill_grace_s = 10.],
-      no journal. *)
+      [gc_interval_s = 60.], unlimited budgets, no journal.  A job's
+      SIGKILL deadline is {!Emmver.kill_deadline} of its clamped options,
+      so the engine's own timeout gets to return a clean [Inconclusive]
+      first. *)
 
   val run : config -> unit
   (** Bind the socket and serve until a graceful drain completes.  Installs

@@ -80,6 +80,27 @@ let test_method_of_string () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
+(* One selection rule for the daemon and the CLI: a named property must
+   exist, and no name means every property in netlist order. *)
+let test_select_properties () =
+  let net = Designs.Fifo.build Designs.Fifo.default_config in
+  let all = List.map fst (Netlist.properties net) in
+  let select property = Emmver.select_properties net ~design:"fifo" ~property in
+  let result = Alcotest.(result (list string) string) in
+  Alcotest.check result "a named property" (Ok [ "fifo_count" ])
+    (select (Some "fifo_count"));
+  Alcotest.check result "an unknown name"
+    (Error "design fifo has no property \"nosuch\"")
+    (select (Some "nosuch"));
+  Alcotest.check result "no name: every property" (Ok all) (select None);
+  Alcotest.(check bool) "fifo has several" true (List.length all > 1);
+  let ctx = Hdl.create () in
+  let r = Hdl.reg ctx "r" ~width:1 in
+  Hdl.connect ctx r r;
+  Alcotest.check result "a design without properties"
+    (Error "bare has no properties")
+    (Emmver.select_properties (Hdl.netlist ctx) ~design:"bare" ~property:None)
+
 let test_timeout_inconclusive () =
   let net = Designs.Quicksort.build (Designs.Quicksort.default_config ~n:5) in
   let options = { Emmver.default_options with max_depth = 200; timeout_s = Some 0.2 } in
@@ -151,5 +172,6 @@ let () =
             test_no_race_when_unreachable;
           Alcotest.test_case "solve + encode within the call" `Quick
             test_time_layers_within_total;
+          Alcotest.test_case "select properties" `Quick test_select_properties;
         ] );
     ]

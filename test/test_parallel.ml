@@ -1,7 +1,8 @@
-(* Tests for the fork-based worker pool (lib/parallel) and its Emmver
+(* Tests for the fork-based worker loop (lib/parallel) and its Emmver
    surface: crash containment, deadline SIGKILL, result-order determinism,
-   pool reuse across batches, and a differential check that fanning
-   verification out over forked workers never changes a verdict. *)
+   repeated batches, races and retries through [settle], and a
+   differential check that fanning verification out over forked workers
+   never changes a verdict. *)
 
 let is_infix ~affix s =
   let n = String.length s and m = String.length affix in
@@ -20,10 +21,22 @@ let reason_label = function
   | Error { Parallel.reason = Parallel.Cancelled; _ } -> "cancelled"
   | Error { Parallel.reason = Parallel.Protocol _; _ } -> "protocol"
 
+(* A race on [run]: the first result [conclusive] accepts stops the run. *)
+let race ~jobs ~f ~conclusive xs =
+  let winner = ref None in
+  let settle slot = function
+    | Ok v when conclusive v ->
+      winner := Some (slot, v);
+      `Stop
+    | _ -> `Continue
+  in
+  let results = Parallel.run ~jobs ~settle ~f xs in
+  (!winner, results)
+
 (* {2 Pool mechanics} *)
 
 let test_basic_map () =
-  let results = Parallel.map ~jobs:4 ~f:(fun i -> i * i) [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+  let results = Parallel.run ~jobs:4 ~f:(fun i -> i * i) [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
   Alcotest.(check (list int))
     "squares in order"
     [ 0; 1; 4; 9; 16; 25; 36; 49 ]
@@ -41,7 +54,7 @@ let test_crash_containment () =
       i
     | _ -> i * 10
   in
-  let results = Parallel.map ~jobs:3 ~f [ 0; 1; 2; 3; 4; 5; 6 ] in
+  let results = Parallel.run ~jobs:3 ~f [ 0; 1; 2; 3; 4; 5; 6 ] in
   Alcotest.(check (list string))
     "crashes contained to their slots"
     [ "ok"; "ok"; "crashed"; "ok"; "crashed"; "crashed"; "ok" ]
@@ -69,7 +82,7 @@ let test_crash_containment () =
 let test_deadline_sigkill () =
   let t0 = Unix.gettimeofday () in
   let results =
-    Parallel.map ~jobs:4 ~job_timeout_s:0.3
+    Parallel.run ~jobs:4 ~job_timeout_s:0.3
       ~f:(fun i -> if i = 1 then Unix.sleepf 30.0; i)
       [ 0; 1; 2 ]
   in
@@ -94,31 +107,51 @@ let test_order_determinism () =
     Unix.sleepf (Random.State.float st 0.15);
     i
   in
-  let results = Parallel.map ~jobs:4 ~f (List.init n Fun.id) in
+  let results = Parallel.run ~jobs:4 ~f (List.init n Fun.id) in
   Alcotest.(check (list int))
     "slot i holds f(i)" (List.init n Fun.id)
     (List.map ok_exn results)
 
-(* One pool across several batches: no leaked state, counters accumulate. *)
+(* Several batches in a row: no state leaks from one into the next. *)
 let test_pool_reuse () =
-  let pool = Parallel.create ~jobs:2 () in
-  let batch xs = List.map ok_exn (Parallel.run pool ~f:(fun i -> i + 1) xs) in
+  let batch xs = List.map ok_exn (Parallel.run ~jobs:2 ~f:(fun i -> i + 1) xs) in
   Alcotest.(check (list int)) "batch 1" [ 1; 2; 3 ] (batch [ 0; 1; 2 ]);
   Alcotest.(check (list int)) "batch 2" [ 11; 21 ] (batch [ 10; 20 ]);
   let crashes =
-    Parallel.run pool ~f:(fun i -> if i = 0 then exit 7 else i) [ 0; 1 ]
+    Parallel.run ~jobs:2 ~f:(fun i -> if i = 0 then exit 7 else i) [ 0; 1 ]
   in
   Alcotest.(check (list string))
     "batch 3 with a crash" [ "crashed"; "ok" ]
     (List.map reason_label crashes);
-  let s = Parallel.stats pool in
-  Alcotest.(check int) "spawned accumulates over batches" 7 s.Parallel.spawned;
-  Alcotest.(check int) "completed" 6 s.Parallel.completed;
-  Alcotest.(check int) "crashed" 1 s.Parallel.crashed
+  Alcotest.(check (list int))
+    "jobs 0 still runs one at a time" [ 1; 2 ]
+    (List.map ok_exn (Parallel.run ~jobs:0 ~f:(fun i -> i + 1) [ 0; 1 ]))
+
+(* [`Retry]: with one job at a time, slot 0 dies on its first attempt; its
+   retry runs before slot 1 starts, and the slot reports the retry. *)
+let test_retry_runs_first () =
+  let settled = ref [] in
+  let f (slot, attempt) =
+    if slot = 0 && attempt = 0 then exit 3;
+    (slot, attempt, Unix.gettimeofday ())
+  in
+  let settle slot result =
+    settled := (slot, reason_label result) :: !settled;
+    match result with Error _ -> `Retry (slot, 1) | Ok _ -> `Continue
+  in
+  let results = Parallel.run ~jobs:1 ~settle ~f [ (0, 0); (1, 0) ] in
+  Alcotest.(check (list (pair int string)))
+    "settle order: the crash, its retry, then slot 1"
+    [ (0, "crashed"); (0, "ok"); (1, "ok") ]
+    (List.rev !settled);
+  match List.map ok_exn results with
+  | [ (0, 1, retry_started); (1, 0, next_started) ] ->
+    Alcotest.(check bool) "the retry started before slot 1" true
+      (retry_started < next_started)
+  | _ -> Alcotest.fail "slot 0 should report its retry, slot 1 its first run"
 
 (* Racing: first conclusive result wins, losers are SIGKILLed. *)
 let test_race () =
-  let pool = Parallel.create ~jobs:3 () in
   let f = function
     | `Fast -> "fast"
     | `Slow ->
@@ -128,7 +161,7 @@ let test_race () =
   in
   let t0 = Unix.gettimeofday () in
   let winner, results =
-    Parallel.race pool ~f
+    race ~jobs:3 ~f
       ~conclusive:(fun v -> v <> "inconclusive")
       [ `Inconclusive; `Slow; `Fast ]
   in
@@ -142,7 +175,7 @@ let test_race () =
     (reason_label (List.nth results 1))
 
 (* No process may survive a finished batch: after reaping everything the
-   pool owes us, waitpid(-1) must report that this process has no children
+   loop owes us, waitpid(-1) must report that this process has no children
    at all. *)
 let check_no_children label =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
@@ -150,11 +183,10 @@ let check_no_children label =
   | 0, _ -> Alcotest.failf "%s: a child is still running" label
   | pid, _ -> Alcotest.failf "%s: zombie child %d left behind" label pid
 
-(* Loser cleanup under sustained reuse: 100 races in one pool, each with a
-   winner and a SIGKILLed long-sleeping loser.  A single unreaped loser
-   anywhere turns up as a zombie (or a live child) at the end. *)
+(* Loser cleanup under sustained reuse: 100 races, each with a winner and
+   a SIGKILLed long-sleeping loser.  A single unreaped loser anywhere turns
+   up as a zombie (or a live child) at the end. *)
 let test_race_loser_reaping () =
-  let pool = Parallel.create ~jobs:2 () in
   let f = function
     | `Fast -> "fast"
     | `Slow ->
@@ -162,28 +194,28 @@ let test_race_loser_reaping () =
       "slow"
   in
   for round = 0 to 99 do
-    let winner, _ =
-      Parallel.race pool ~f ~conclusive:(fun v -> v = "fast") [ `Slow; `Fast ]
+    let winner, results =
+      race ~jobs:2 ~f ~conclusive:(fun v -> v = "fast") [ `Slow; `Fast ]
     in
-    match winner with
+    (match winner with
     | Some (1, "fast") -> ()
-    | _ -> Alcotest.failf "round %d: fast worker should have won" round
+    | _ -> Alcotest.failf "round %d: fast worker should have won" round);
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: loser reports cancellation" round)
+      "cancelled"
+      (reason_label (List.hd results))
   done;
-  check_no_children "after 100 races";
-  let s = Parallel.stats pool in
-  Alcotest.(check int) "every race spawned both workers" 200 s.Parallel.spawned;
-  Alcotest.(check int) "every loser accounted as cancelled" 100 s.Parallel.cancelled
+  check_no_children "after 100 races"
 
-(* An exception escaping the drive loop itself — here a raising [conclusive]
+(* An exception escaping the worker loop itself — here a raising [settle]
    callback — must not abandon the still-running workers. *)
 let test_exception_reaps_workers () =
-  let pool = Parallel.create ~jobs:2 () in
   let t0 = Unix.gettimeofday () in
   (try
      ignore
-       (Parallel.race pool
+       (Parallel.run ~jobs:2
           ~f:(fun i -> if i = 0 then "quick" else (Unix.sleepf 30.0; "slow"))
-          ~conclusive:(fun _ -> failwith "callback boom")
+          ~settle:(fun _ _ -> failwith "callback boom")
           [ 0; 1 ]);
      Alcotest.fail "callback exception should propagate"
    with Failure msg ->
@@ -195,7 +227,7 @@ let test_exception_reaps_workers () =
 (* {2 Differential: forked fan-out never changes a verdict}
 
    The 50 seeded random memory designs of test_differential.ml (same
-   generator constants), verified sequentially and through a 4-worker pool:
+   generator constants), verified sequentially and through 4 workers:
    the conclusions must match slot for slot. *)
 
 type cfg = {
@@ -276,7 +308,7 @@ let test_differential_fanout () =
   in
   let sequential = List.map (fun id -> conclusion_signature (verify_one id)) ids in
   let parallel =
-    Parallel.map ~jobs:4 ~f:(fun id -> conclusion_signature (verify_one id)) ids
+    Parallel.run ~jobs:4 ~f:(fun id -> conclusion_signature (verify_one id)) ids
   in
   List.iteri
     (fun id seq ->
@@ -305,10 +337,10 @@ let test_verify_many_differential () =
   Alcotest.(check (list (pair string string)))
     "verify_many -j 4 = sequential loop" sequential parallel
 
-(* {2 Tracing through the pool}
+(* {2 Tracing through forked workers}
 
    With a recorder installed in the parent, forked workers record events
-   locally ([Obs.worker_scope] in the pool's child shim) and marshal them
+   locally ([Obs.worker_scope] in the worker's child shim) and marshal them
    back alongside their results; the parent merges them into one
    pid-annotated stream. *)
 
@@ -334,7 +366,7 @@ let test_traced_fanout () =
   let r = Obs.create ~track_alloc:false () in
   let results =
     with_recorder r (fun () ->
-        Parallel.map ~jobs:4
+        Parallel.run ~jobs:4
           ~f:(fun id ->
             conclusion_signature
               (Emmver.verify ~options ~method_:Emmver.Emm_falsify
@@ -380,7 +412,7 @@ let test_sigkill_drops_partial_spans () =
   let r = Obs.create ~track_alloc:false () in
   let results =
     with_recorder r (fun () ->
-        Parallel.map ~jobs:3 ~job_timeout_s:0.3
+        Parallel.run ~jobs:3 ~job_timeout_s:0.3
           ~f:(fun i ->
             Obs.span "job" ~attrs:[ ("i", Obs.Int i) ] (fun () ->
                 if i = 1 then Unix.sleepf 30.0;
@@ -427,6 +459,8 @@ let () =
             test_race_loser_reaping;
           Alcotest.test_case "exception mid-drive reaps workers" `Quick
             test_exception_reaps_workers;
+          Alcotest.test_case "retry runs before unstarted slots" `Quick
+            test_retry_runs_first;
         ] );
       ( "differential",
         [

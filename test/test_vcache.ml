@@ -558,7 +558,7 @@ let test_same_key_racing_writers () =
   (* Eight forked workers all solve the same cold problem and race to write
      the same key; atomic rename means the survivor is one complete entry. *)
   let results =
-    Parallel.map ~jobs:4
+    Parallel.run ~jobs:4
       ~f:(fun () ->
         conclusion_str (Emmver.verify ~options:opts ~method_:Emmver.Emm_bmc net ~property:"p"))
       (List.init 8 (fun _ -> ()))
