@@ -152,6 +152,21 @@ let no_hooks =
     mem_distinct = None;
   }
 
+(* One kind of termination query and the model of its last satisfiable
+   answer, which seeds the solver's saved phases for the next query of the
+   kind.  [shifts]: the model moves forward one frame per depth since
+   [taken_at] before it seeds, into the reused [shifted]. *)
+type termination = {
+  what : string;
+  shifts : bool;
+  mutable last_model : int array;  (* the solver's own array: never written *)
+  mutable taken_at : int;
+  mutable shifted : int array;
+}
+
+let termination what ~shifts =
+  { what; shifts; last_model = [||]; taken_at = 0; shifted = [||] }
+
 (* Mutable run state threaded through one [check_all] call, shared by all of
    its properties. *)
 type run = {
@@ -170,6 +185,8 @@ type run = {
   mem_reasons : (int, unit) Hashtbl.t;
   watches : (string * Netlist.signal * Netlist.signal option) list;
   portfolio : Portfolio.t option;
+  lfp : termination;  (* forward: I /\ LFP_i *)
+  induction : termination;  (* backward: LFP_i /\ CP_i /\ ~P_i *)
   mutable obligations : (Lit.t list * int) list;
       (* UNSAT assumption cubes with the instance that answered them
          (0 = the run's own solver), newest first *)
@@ -185,6 +202,42 @@ let answer_solver run =
   | Some p -> Portfolio.winner_solver p
   | None -> run.solver
 
+(* The run's cumulative search counters: under a portfolio, the sum over
+   its instances. *)
+let solver_stats run =
+  match run.portfolio with
+  | Some p -> Portfolio.merged_stats p
+  | None -> Solver.stats run.solver
+
+(* [solve ()] under a recorder ends with a "solve.counts" instant carrying
+   the call's own share of the search counters, so the instants of a run sum
+   to its [solver_stats], bar the root-level propagation of unit clauses as
+   they are added; an interrupted call reports what it spent. *)
+let counted ~what run solve =
+  if not (Obs.enabled ()) then solve ()
+  else begin
+    let s0 = solver_stats run in
+    let answer = ref "interrupted" in
+    Fun.protect
+      ~finally:(fun () ->
+        let s1 = solver_stats run in
+        let d f = Obs.Int (f s1 - f s0) in
+        Obs.instant "solve.counts"
+          ~attrs:
+            [
+              ("query", Obs.Str what);
+              ("answer", Obs.Str !answer);
+              ("conflicts", d (fun s -> s.Solver.conflicts));
+              ("decisions", d (fun s -> s.Solver.decisions));
+              ("propagations", d (fun s -> s.Solver.propagations));
+              ("restarts", d (fun s -> s.Solver.restarts));
+            ])
+      (fun () ->
+        let r = solve () in
+        answer := (match r with Solver.Sat -> "sat" | Solver.Unsat -> "unsat");
+        r)
+  end
+
 (* The [solve_time]/[encode_time] accumulators are now derived views over
    the observability spans: both read the same [Obs.now] clock, so [stats]
    stays source-compatible while traces carry the per-phase breakdown. *)
@@ -195,9 +248,10 @@ let timed_solve ?(what = "falsify") run assumptions =
       ~finally:(fun () -> run.solve_time <- run.solve_time +. Obs.now () -. t0)
       (fun () ->
         Obs.span "solve" ~attrs:[ ("query", Obs.Str what) ] (fun () ->
-            match run.portfolio with
-            | Some p -> Portfolio.solve ~assumptions p
-            | None -> Solver.solve ~assumptions run.solver))
+            counted ~what run (fun () ->
+                match run.portfolio with
+                | Some p -> Portfolio.solve ~assumptions p
+                | None -> Solver.solve ~assumptions run.solver)))
   in
   if r = Solver.Unsat && run.cfg.certify then begin
     let w = match run.portfolio with Some p -> Portfolio.winner p | None -> 0 in
@@ -263,14 +317,31 @@ let refine_lfp run i =
    pairs is Unsat over all of them, and a model whose unconstrained pairs
    all differ on some state latch extends to their constraints — a fresh
    difference literal, which occurs only positively, picks the differing
-   latch, and the memory-distinctness literal can stay false. *)
-let solve_lfp ~what run i assumptions =
+   latch, and the memory-distinctness literal can stay false.
+
+   The first solve starts from the last model of the query's kind (Eén and
+   Sörensson, BMC 2003): a loop-free path from I grows at its end, and an
+   induction counterexample at depth i is mostly the one at depth i-1 with
+   a new state in front, so that model moves forward a frame per depth.
+   Refinement re-solves keep the phases the solver saved from the model
+   just found.  Phases only order the search: the answer is the formula's. *)
+let solve_lfp q run i assumptions =
+  let seed = ref q.last_model in
+  if q.shifts && Array.length !seed > 0 then
+    for _ = q.taken_at + 1 to i do
+      seed := Cnf.shift_model ~into:q.shifted run.unr ~depth:i !seed;
+      q.shifted <- !seed
+    done;
+  Solver.seed_phases run.solver !seed;
   let rec go () =
-    match timed_solve ~what run assumptions with
+    match timed_solve ~what:q.what run assumptions with
     | Solver.Unsat -> Solver.Unsat
     | Solver.Sat -> (
       match timed_encode run (fun () -> refine_lfp run i) with
-      | 0 -> Solver.Sat
+      | 0 ->
+        q.last_model <- Solver.raw_model (answer_solver run);
+        q.taken_at <- i;
+        Solver.Sat
       | added ->
         Obs.counter_add "bmc.lfp_pairs" added;
         Obs.counter_add "bmc.lfp_rounds" 1;
@@ -458,6 +529,8 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       mem_reasons = Hashtbl.create 4;
       watches = (if config.certify then watch_signals net else []);
       portfolio;
+      lfp = termination "lfp" ~shifts:false;
+      induction = termination "induction" ~shifts:true;
       obligations = [];
       reasons_last_changed = 0;
       solve_time = 0.0;
@@ -510,14 +583,14 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
     if proof_checks_at i then begin
       (* Forward termination: no loop-free path of length i from I; this
          settles every pending property at once. *)
-      if solve_lfp ~what:"lfp" run i [ act_init; run.act_lfp ] = Solver.Unsat then
+      if solve_lfp run.lfp run i [ act_init; run.act_lfp ] = Solver.Unsat then
         List.iter (decide (Proof { depth = i; kind = Forward_diameter })) pending
       else
         (* Backward termination: property inductive at depth i. *)
         List.iter
           (fun (p, p_i) ->
             if
-              solve_lfp ~what:"induction" run i
+              solve_lfp run.induction run i
                 [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
               = Solver.Unsat
             then decide (Proof { depth = i; kind = Backward_induction }) p)
@@ -580,11 +653,7 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let cnf_stats = Cnf.stats unr in
   (* Under a portfolio, the solver telemetry aggregates all instances: the
      work the machine actually did, not just the winner's share. *)
-  let sstats =
-    match run.portfolio with
-    | Some p -> Portfolio.merged_stats p
-    | None -> Solver.stats solver
-  in
+  let sstats = solver_stats run in
   let stats =
     {
       solve_time = run.solve_time;

@@ -37,7 +37,28 @@
     like any other clause.  With a recorder installed, the counters
     [bmc.lfp_pairs] (pairs constrained) and [bmc.lfp_rounds] (re-solves
     after a refinement) count the work; each re-solve is a [solve] span with
-    its query's [query] attribute, and each refinement an [encode] span. *)
+    its query's [query] attribute, and each refinement an [encode] span.
+
+    Each termination query starts its search from the last model of its own
+    kind, kept per run (not per property): before the first solve of a
+    query the solver's saved phases are seeded ([Solver.seed_phases]) with
+    the last satisfiable answer of that kind.  An LFP query takes the last
+    LFP model as it is, since a loop-free path from [I] grows at its end.
+    An induction query takes the last induction model moved forward one
+    frame per depth since it was taken ([Cnf.shift_model]), since the
+    counterexample at depth [i] is mostly the one at depth [i-1] with a new
+    state in front (Eén and Sörensson).  Refinement re-solves keep the
+    phases the solver saved from the model just found, and falsification
+    queries are not seeded.  Phases only order the search, so no answer
+    can move: every query still answers its formula, and verdicts, proof
+    kinds and depths are those of an unseeded run; conflict counts, the
+    pairs a model happens to repeat, and with them the clause count,
+    counterexample traces and DRAT logs may differ.
+
+    With a recorder installed, every [solve] span ends with a [solve.counts]
+    instant carrying its [query], its [answer] ([sat], [unsat] or
+    [interrupted]) and the call's own conflicts, decisions, propagations and
+    restarts.  Untraced runs pay one [Obs.enabled] test per call. *)
 
 type proof_kind = Forward_diameter | Backward_induction
 

@@ -539,6 +539,44 @@ let lit_opt t ~frame s =
   if l = no_lit then None
   else Some (if Netlist.is_complement s then Lit.negate l else l)
 
+(* Every node encoded at frames [f] and [f + 1] passes its frame-[f] model
+   value to its frame-[f + 1] variable.  Reads come from [m] and writes go to
+   another array, so the order of the walk only matters where two writes land
+   on one variable (latch aliasing, structural hashing): the last one wins.
+   A fresh result has room for the variables of a few more frames, so that
+   a caller passing it back as [into] at the next depth reuses it. *)
+let shift_model ?into t ~depth m =
+  let len = Array.length m in
+  let n = max len (Solver.num_vars t.solver) in
+  let out =
+    match into with
+    | Some b when Array.length b >= n && b != m -> b
+    | Some _ | None -> Array.make (2 * n) (-1)
+  in
+  (* A loop, not [Array.blit]: the runtime's blit into a major-heap array
+     goes through the write barrier word by word. *)
+  for v = 0 to n - 1 do
+    Array.unsafe_set out v (if v < len then Array.unsafe_get m v else -1)
+  done;
+  for f = 0 to min depth (Array.length t.frames - 1) - 1 do
+    let src = t.frames.(f) and dst = t.frames.(f + 1) in
+    (* Frame-table entries are solver literals, so [out] has room for their
+       variables.  A literal is its variable times two plus its sign bit
+       ([Lit]), spelled out here: the dev profile's [-opaque] turns every
+       [Lit.var] into a call. *)
+    for id = 0 to min (Array.length src) (Array.length dst) - 1 do
+      let a = Array.unsafe_get src id in
+      if a <> no_lit && a lsr 1 < len then begin
+        let x = Array.unsafe_get m (a lsr 1) and b = Array.unsafe_get dst id in
+        (* A literal's value is its variable's value flipped by its sign
+           bit, both ways. *)
+        if b <> no_lit && x >= 0 then
+          Array.unsafe_set out (b lsr 1) (x lxor (a land 1) lxor (b land 1))
+      end
+    done
+  done;
+  out
+
 let and_lit ?tag ?(pol = Both) t lits = and_lits t ?tag pol lits
 let mux_lit ?tag ?(pol = Both) t s a b = mux_lits t ?tag pol s a b
 

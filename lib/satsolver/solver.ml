@@ -283,8 +283,16 @@ let deadline t = t.deadline
 let conflict_budget t = t.conflict_budget
 let learnt_budget_mb t = t.learnt_budget_mb
 let proof_logging_enabled t = t.proof_logging
-let raw_model t = Array.copy t.model
+let raw_model t = t.model
 let adopt_model t m = t.model <- Array.copy m
+
+let seed_phases t m =
+  (* [t.phase] has room for every variable. *)
+  for v = 0 to min (Array.length m) t.nvars - 1 do
+    let x = Array.unsafe_get m v in
+    if x >= 0 then Array.unsafe_set t.phase v (x = 1)
+  done
+
 let proof t = List.rev t.proof_steps
 
 let proof_log t =

@@ -154,12 +154,22 @@ val learnt_budget_mb : t -> float option
 val proof_logging_enabled : t -> bool
 
 val raw_model : t -> int array
-(** Copy of the last [Sat] model ([-1] undef / [0] false / [1] true per
-    variable index). *)
+(** The last [Sat] model ([-1] undef / [0] false / [1] true per variable
+    index).  The array is the solver's own, not a copy: a later answer
+    replaces it and never writes into it, so a caller may keep it, but must
+    not mutate it. *)
 
 val adopt_model : t -> int array -> unit
 (** Install a model taken from {!raw_model} of a peer instance with the same
     variable numbering, so {!value} answers from the peer's model. *)
+
+val seed_phases : t -> int array -> unit
+(** [seed_phases t m] sets the saved phase of every variable that [m], in
+    {!raw_model}'s format, assigns: the next decision on such a variable
+    tries [m]'s value first.  Variables past [m]'s end and entries of [-1]
+    keep their phase.  A hint only: phase saving takes over again at the
+    next backtrack, and no answer depends on it.  Call between {!solve}
+    calls. *)
 
 val okay : t -> bool
 (** [false] once the clause set is unsatisfiable independent of

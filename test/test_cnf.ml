@@ -134,6 +134,74 @@ let test_free_latch_is_unconstrained () =
   Alcotest.(check bool) "free latch low at frame 1 is satisfiable" true
     (Solver.solve ~assumptions:[ Cnf.act_init unr; Lit.negate l1 ] solver = Solver.Sat)
 
+(* [shift_model] moves a model one frame forward: a 2-bit counter that
+   steps while [en] holds, unrolled to depth 3, counts 0, 1, 2, 3, and the
+   shifted model holds at each frame f + 1 what the model held at f.  A
+   probe over an input of its own is encoded at frame 1 only, so neither it
+   nor its input has a frame to take a value from or give one to. *)
+let test_shift_model () =
+  let ctx = Hdl.create () in
+  let en = Hdl.input_bit ctx "en" in
+  let cnt = Hdl.reg ctx ~init:(Some 0) "cnt" ~width:2 in
+  Hdl.connect ctx cnt (Hdl.mux2 ctx en (Hdl.incr ctx cnt) cnt);
+  let tap = Hdl.input_bit ctx "tap" in
+  let net = Hdl.netlist ctx in
+  let probe = Netlist.and_ net tap (Netlist.and_ net cnt.(0) cnt.(1)) in
+  let solver = Solver.create () in
+  let unr = Cnf.create solver net in
+  let en_at frame = Cnf.lit unr ~frame en in
+  for frame = 0 to 3 do
+    Array.iter (fun s -> ignore (Cnf.lit unr ~frame s)) cnt
+  done;
+  let probe1 = Cnf.lit unr ~frame:1 probe and tap1 = Cnf.lit unr ~frame:1 tap in
+  let assumptions = Cnf.act_init unr :: List.init 4 en_at in
+  Alcotest.(check bool) "sat" true (Solver.solve ~assumptions solver = Solver.Sat);
+  let m = Solver.raw_model solver in
+  let value a l = (a.(Lit.var l) = 1) = Lit.sign l in
+  let shifted = Cnf.shift_model unr ~depth:3 m in
+  let pairs = ref 0 in
+  for id = 0 to Netlist.num_nodes net - 1 do
+    let s = Netlist.signal_of_node id false in
+    for f = 0 to 2 do
+      match (Cnf.lit_opt unr ~frame:f s, Cnf.lit_opt unr ~frame:(f + 1) s) with
+      | Some a, Some b ->
+        incr pairs;
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d: frame %d value at frame %d" id f (f + 1))
+          (value m a) (value shifted b)
+      | _ -> ()
+    done
+  done;
+  Alcotest.(check bool) "counter bits and input shifted" true (!pairs >= 9);
+  let counter frame a =
+    Array.fold_right
+      (fun s acc -> (2 * acc) + Bool.to_int (value a (Cnf.lit unr ~frame s)))
+      cnt 0
+  in
+  Alcotest.(check (list int)) "model counts" [ 0; 1; 2; 3 ] (List.init 4 (fun f -> counter f m));
+  Alcotest.(check (list int)) "shifted counts" [ 1; 2 ]
+    (List.init 2 (fun f -> counter (f + 2) shifted));
+  List.iter
+    (fun l ->
+      Alcotest.(check int) "one-frame node unchanged" m.(Lit.var l) shifted.(Lit.var l))
+    [ probe1; tap1 ];
+  Array.iter
+    (fun s ->
+      let v = Lit.var (Cnf.lit unr ~frame:0 s) in
+      Alcotest.(check int) "frame 0 unchanged" m.(v) shifted.(v))
+    cnt;
+  (* [~depth] bounds the frames written, and [into] is overwritten up to the
+     variable count. *)
+  let one = Cnf.shift_model unr ~depth:1 m in
+  Array.iter
+    (fun s ->
+      let v = Lit.var (Cnf.lit unr ~frame:2 s) in
+      Alcotest.(check int) "frame 2 unchanged at depth 1" m.(v) one.(v))
+    cnt;
+  let n = Solver.num_vars solver in
+  let reused = Cnf.shift_model ~into:(Array.make n 7) unr ~depth:3 m in
+  Alcotest.(check (array int)) "into agrees" (Array.sub shifted 0 n) (Array.sub reused 0 n)
+
 let test_constant_nodes () =
   let net = Netlist.create () in
   Netlist.add_property net "p" Netlist.true_;
@@ -289,6 +357,8 @@ let () =
           Alcotest.test_case "free latch unconstrained" `Quick
             test_free_latch_is_unconstrained;
           Alcotest.test_case "constant nodes" `Quick test_constant_nodes;
+          Alcotest.test_case "shift_model moves a model one frame" `Quick
+            test_shift_model;
           Alcotest.test_case "negative frame rejected" `Quick test_negative_frame_rejected;
           Alcotest.test_case "check_all consistency" `Quick
             (check_all_consistency ~certify:false);

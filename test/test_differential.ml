@@ -359,20 +359,20 @@ let oracle_disagreement verdict (bdd : Bddmc.verdict) =
     fail "inconclusive engine verdict"
 
 (* One design's EMM verdict and the oracle's judgment of it, with or
-   without the proof checks and the memory-state distinctness
-   predicates. *)
-let oracle_judgment ?(mem_distinct = true) ~proofs ~depth cfg =
+   without the proof checks, the memory-state distinctness predicates and
+   the eq. (6) initial-state consistency constraints. *)
+let oracle_judgment ?(mem_distinct = true) ?(init_consistency = true) ~proofs ~depth cfg =
   let net = build cfg in
   let config =
     if proofs then { Bmc.Engine.default_config with max_depth = depth }
     else { falsify_config with Bmc.Engine.max_depth = depth }
   in
-  let emm, _ = Emm.check ~config ~mem_distinct net ~property:"p" in
+  let emm, _ = Emm.check ~config ~mem_distinct ~init_consistency net ~property:"p" in
   let bdd = Bddmc.check (Explicitmem.expand net) ~property:"p" in
   (emm.Bmc.Engine.verdict, oracle_disagreement emm.Bmc.Engine.verdict bdd.Bddmc.verdict)
 
-let oracle_mismatch ?mem_distinct ~proofs ~depth cfg =
-  snd (oracle_judgment ?mem_distinct ~proofs ~depth cfg)
+let oracle_mismatch ?mem_distinct ?init_consistency ~proofs ~depth cfg =
+  snd (oracle_judgment ?mem_distinct ?init_consistency ~proofs ~depth cfg)
 
 (* The 50 seeds of a style under the oracle; returns their EMM verdicts. *)
 let oracle_battery ~sweep ~proofs ~depth cfg_of =
@@ -442,6 +442,33 @@ let test_oracle_catches_mutation () =
       "the BDD oracle accepted every latch-poor verdict with the memory-state \
        distinctness predicates disabled";
   Printf.printf "BDD oracle caught the mutation on %d/50 latch-poor seeds\n%!" !caught
+
+(* The same for the eq. (6) family: with every initial-state consistency
+   constraint dropped, two reads of one never-written location may return
+   different words, which the classic seeds (proofs on) turn into wrong
+   verdicts that the oracle must flag; the honest engine it flags on none of
+   the same seeds. *)
+let classic_oracle_seeds = 200
+
+let test_oracle_catches_init_consistency () =
+  let flagged ~init_consistency =
+    List.length
+      (List.filter
+         (fun id ->
+           oracle_mismatch ~init_consistency ~proofs:true ~depth:depth_bound
+             (random_cfg id)
+           <> None)
+         (List.init classic_oracle_seeds Fun.id))
+  in
+  Alcotest.(check int) "honest engine flagged on no seed" 0
+    (flagged ~init_consistency:true);
+  let caught = flagged ~init_consistency:false in
+  if caught = 0 then
+    Alcotest.fail
+      "the BDD oracle accepted every classic verdict with the eq. (6) \
+       constraints dropped";
+  Printf.printf "BDD oracle caught dropped eq. (6) constraints on %d/%d classic seeds\n%!"
+    caught classic_oracle_seeds
 
 (* The shrinker itself, against an artificial mismatch predicate whose
    failure region is known in closed form: "fails iff two write ports or
@@ -581,5 +608,7 @@ let () =
             test_oracle_saturating;
           Alcotest.test_case "BDD oracle alone catches disabled distinctness" `Quick
             test_oracle_catches_mutation;
+          Alcotest.test_case "BDD oracle catches dropped eq. (6) constraints" `Quick
+            test_oracle_catches_init_consistency;
         ] );
     ]

@@ -568,6 +568,69 @@ let test_lfp_pairs_on_demand () =
   Alcotest.(check bool) "under a tenth of the eager pairs" true (pairs < 53.0);
   Alcotest.(check bool) "some re-solve" true (rounds > 0.0)
 
+(* Under a recorder every solver call ends its "solve" span with one
+   "solve.counts" instant for the span's query, and the instants' deltas add
+   up to the run's solver counters: quicksort-n3 P1 to depth 20, where every
+   termination query is satisfiable and every falsification query is not.
+   The one exception is propagation of unit clauses as they are added,
+   outside any call; each such propagation fixes a variable at the root for
+   good, so there are fewer of them than variables. *)
+let test_solve_counts () =
+  let recorder = Obs.create ~track_alloc:false () in
+  let prev = Obs.current () in
+  Obs.set_current (Some recorder);
+  let result, _ =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_current prev)
+      (fun () ->
+        Emm.check
+          ~config:{ Bmc.Engine.default_config with max_depth = 20 }
+          (Designs.Quicksort.build (Designs.Quicksort.default_config ~n:3))
+          ~property:"P1")
+  in
+  let str k attrs = match List.assoc_opt k attrs with Some (Obs.Str s) -> s | _ -> "" in
+  let int k attrs = Option.value (Obs.attr_int k attrs) ~default:(-1) in
+  let open_query = ref None and spans = ref 0 and answers = ref [] in
+  let sums = Array.make 4 0 in
+  let fields = [| "conflicts"; "decisions"; "propagations"; "restarts" |] in
+  List.iter
+    (fun (_, ev) ->
+      match ev with
+      | Obs.Begin { name = "solve"; attrs; _ } ->
+        incr spans;
+        open_query := Some (str "query" attrs, 0)
+      | Obs.Instant { name = "solve.counts"; attrs; _ } -> (
+        match !open_query with
+        | Some (q, n) ->
+          Alcotest.(check string) "instant of the span's query" q (str "query" attrs);
+          open_query := Some (q, n + 1);
+          answers := (q, str "answer" attrs) :: !answers;
+          Array.iteri (fun i f -> sums.(i) <- sums.(i) + int f attrs) fields
+        | None -> Alcotest.fail "solve.counts outside a solve span")
+      | Obs.End { name = "solve"; _ } ->
+        (match !open_query with
+        | Some (_, n) -> Alcotest.(check int) "one instant per solve span" 1 n
+        | None -> Alcotest.fail "unmatched solve span");
+        open_query := None
+      | _ -> ())
+    (Obs.rows recorder);
+  Alcotest.(check string) "verdict" "safe@20" (proof_sig result.Bmc.Engine.verdict);
+  Alcotest.(check int) "an instant per span" !spans (List.length !answers);
+  List.iter
+    (fun (q, a) ->
+      Alcotest.(check string) (q ^ " answer") (if q = "falsify" then "unsat" else "sat") a)
+    !answers;
+  let stats = result.Bmc.Engine.stats in
+  let s = stats.Bmc.Engine.solver_stats in
+  Alcotest.(check (array int)) "deltas sum to the run's counters"
+    [| s.Solver.conflicts; s.decisions; s.restarts |]
+    [| sums.(0); sums.(1); sums.(3) |];
+  let intake = s.propagations - sums.(2) in
+  Printf.printf "quicksort-n3 P1 to depth 20: %d queries, %d conflicts, %d propagations at clause intake\n%!"
+    !spans s.conflicts intake;
+  Alcotest.(check bool) "propagations outside calls fix root variables" true
+    (intake >= 0 && intake < stats.num_vars)
+
 (* {2 Phantom reads shared with real reads}
 
    The distinctness machinery needs the word a write port's target location
@@ -661,6 +724,7 @@ let () =
             test_distinct_counts_reported;
           Alcotest.test_case "loop-free-path pairs on demand" `Quick
             test_lfp_pairs_on_demand;
+          Alcotest.test_case "per-query solver counts" `Quick test_solve_counts;
           Alcotest.test_case "phantom read shared with an enabled read" `Quick
             test_phantom_shared_with_read;
           Alcotest.test_case "phantom read kept beside a gated read" `Quick

@@ -500,6 +500,29 @@ let test_reduction_and_compaction () =
   Alcotest.(check (list int)) "a is the failed assumption" [ a ]
     (Solver.failed_assumptions s)
 
+(* Seeded with a satisfying assignment, every decision takes that
+   assignment's value and every implication agrees with it, so the search
+   meets no conflict and answers with exactly the assignment.  The instance
+   is random 3-SAT with a planted solution: a clause the planted assignment
+   falsifies has one literal flipped. *)
+let test_seeded_solution_no_conflicts () =
+  let st = Random.State.make [| 0x91a7 |] in
+  let num_vars = 300 in
+  let planted = Array.init num_vars (fun _ -> Random.State.bool st) in
+  let holds l = planted.(Lit.var l) = Lit.sign l in
+  let clauses =
+    List.map
+      (fun c -> if List.exists holds c then c else Lit.negate (List.hd c) :: List.tl c)
+      (random_3sat st ~num_vars ~num_clauses:(int_of_float (4.2 *. float_of_int num_vars)))
+  in
+  let s = solver_of clauses in
+  Solver.ensure_vars s num_vars;
+  Solver.seed_phases s (Array.map Bool.to_int planted);
+  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check int) "no conflict" 0 (Solver.num_conflicts s);
+  Alcotest.(check bool) "the seeded assignment" true
+    (Array.for_all Fun.id (Array.mapi (fun v b -> Solver.value_var s v = b) planted))
+
 (* {2 Property tests} *)
 
 let gen_clauses num_vars =
@@ -585,6 +608,43 @@ let prop_incremental_consistent =
       let _, fresh = solve_clauses ~num_vars:7 (first @ second) in
       incremental = fresh)
 
+(* Saved phases only order the search.  Random 3-SAT with 15 to 40
+   variables near the phase transition, solved under a sequence of random
+   assumption cubes by two solvers, one of them seeded with random phases
+   (some entries -1, some past the last variable) before every call: the
+   answers agree, and every model satisfies every clause and its cube. *)
+let prop_seeded_phases_keep_answers =
+  QCheck2.Test.make ~count:150 ~name:"seeded phases keep every answer"
+    ~print:QCheck2.Print.int QCheck2.Gen.int
+    (fun seed ->
+      let st = Random.State.make [| 0x5eed; seed |] in
+      let num_vars = 15 + Random.State.int st 26 in
+      let num_clauses = int_of_float ((3.8 +. Random.State.float st 1.0) *. float_of_int num_vars) in
+      let clauses = random_3sat st ~num_vars ~num_clauses in
+      let plain = solver_of clauses and seeded = solver_of clauses in
+      Solver.ensure_vars plain num_vars;
+      Solver.ensure_vars seeded num_vars;
+      let cube () =
+        List.sort_uniq compare
+          (List.init (Random.State.int st 4) (fun _ ->
+               lit (Random.State.int st num_vars) (Random.State.bool st)))
+      in
+      let model_ok s assumptions =
+        List.for_all (List.exists (Solver.value s)) clauses
+        && List.for_all (Solver.value s) assumptions
+      in
+      List.for_all
+        (fun assumptions ->
+          let phases =
+            Array.init (num_vars + Random.State.int st 3) (fun _ -> Random.State.int st 3 - 1)
+          in
+          Solver.seed_phases seeded phases;
+          let expected = Solver.solve ~assumptions plain in
+          let got = Solver.solve ~assumptions seeded in
+          got = expected
+          && (got = Solver.Unsat || (model_ok plain assumptions && model_ok seeded assumptions)))
+        (List.init (1 + Random.State.int st 4) (fun _ -> cube ())))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -595,6 +655,7 @@ let () =
         prop_assumption_core;
         prop_incremental_consistent;
         prop_checker_validates_random_unsat;
+        prop_seeded_phases_keep_answers;
       ]
   in
   Alcotest.run "satsolver"
@@ -632,6 +693,8 @@ let () =
           Alcotest.test_case "deadline without conflicts" `Quick
             test_deadline_without_conflicts;
           Alcotest.test_case "learnt-db memory budget" `Quick test_learnt_budget;
+          Alcotest.test_case "seeded solution solves without conflicts" `Quick
+            test_seeded_solution_no_conflicts;
           Alcotest.test_case "reduction and compaction" `Quick
             test_reduction_and_compaction;
         ] );
