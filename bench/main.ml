@@ -70,7 +70,7 @@ let time f =
 
 let mb () =
   let gc = Gc.quick_stat () in
-  float_of_int (gc.Gc.heap_words * 8) /. 1e6
+  float_of_int (gc.Gc.top_heap_words * 8) /. 1e6
 
 let options ?(max_depth = 150) () =
   { Emmver.default_options with max_depth; timeout_s = Some !timeout }
@@ -584,11 +584,6 @@ let json_row ~design ~property ~method_ ~verdict ~time_s ~solve_time_s
 
 (* {2 Baseline comparison (--baseline FILE)} *)
 
-let verdict_class v =
-  if String.length v >= 6 && String.sub v 0 6 = "proved" then `Proved
-  else if String.length v >= 9 && String.sub v 0 9 = "falsified" then `Falsified
-  else `Inconclusive
-
 (* A BENCH_solver.json file as parsed JSON; a missing or malformed file
    ends the run (exit 2). *)
 let read_baseline file =
@@ -606,42 +601,74 @@ let read_baseline file =
   | Ok json -> json
   | Error why -> fail ("is not JSON: " ^ why)
 
-(* The (design, property, method) -> verdict map of the baseline's rows. *)
-let baseline_verdicts json =
+(* The verdict rows of a BENCH document, as "design/property/method"
+   paired with the verdict and the row. *)
+let verdict_rows rows =
   let str = Obs.Json.str_field in
+  List.filter_map
+    (fun row ->
+      match (str "design" row, str "property" row, str "method" row, str "verdict" row) with
+      | Some d, Some p, Some m, Some v -> Some (Printf.sprintf "%s/%s/%s" d p m, (v, row))
+      | _ -> None)
+    rows
+
+let baseline_rows json =
   match Obs.Json.member "rows" json with
-  | Some (Obs.Json.Arr rows) ->
-    List.filter_map
-      (fun row ->
-        match (str "design" row, str "property" row, str "method" row, str "verdict" row) with
-        | Some d, Some p, Some m, Some v -> Some ((d, p, m), v)
-        | _ -> None)
-      rows
+  | Some (Obs.Json.Arr rows) -> verdict_rows rows
   | _ -> []
 
-(* Fail (exit 3) if any design/property/method row that was conclusive in
-   the baseline file became inconclusive — the CI regression gate. *)
+(* The row fields a rerun of the same search reproduces exactly. *)
+let work_fields =
+  [ "num_vars"; "num_clauses"; "conflicts"; "decisions"; "propagations"; "proof_steps" ]
+
+(* The verdict gate: every row of this run that the baseline also has must
+   keep its full verdict string (class, proof kind, depth, genuine or
+   spurious), else the run exits 3 naming each moved row, old and new.
+   Rows on one side only are named, not failed, since [--only] runs a
+   subset.  Each compared row's work fields are printed, as one value when
+   it is unchanged and as baseline -> now when it moved; they are
+   reported, not gated. *)
 let check_against_baseline ~name ~old rows =
-  let regressions =
+  let compared =
     List.filter_map
-      (fun ((key : string * string * string), v) ->
-        match List.assoc_opt key old with
-        | Some old_v
-          when verdict_class old_v <> `Inconclusive
-               && verdict_class v = `Inconclusive ->
-          Some (key, old_v, v)
-        | _ -> None)
+      (fun (key, row) -> Option.map (fun o -> (key, o, row)) (List.assoc_opt key old))
       rows
   in
-  match regressions with
+  let absent side a b =
+    match List.filter (fun (key, _) -> not (List.mem_assoc key b)) a with
+    | [] -> ()
+    | keys ->
+      Format.printf "rows %s: %s@." side (String.concat ", " (List.map fst keys))
+  in
+  absent "in the baseline but not run" old rows;
+  absent "run but not in the baseline" rows old;
+  let field f row =
+    Option.fold ~none:"-" ~some:string_of_int (Obs.Json.int_field f row)
+  in
+  let line first cells =
+    Format.printf "%-36s%s@." first
+      (String.concat "" (List.map (Printf.sprintf " %19s") cells))
+  in
+  line "work (baseline -> now)" work_fields;
+  let same_work =
+    List.fold_left
+      (fun n (key, (_, o), (_, row)) ->
+        let work = List.map (fun f -> (field f o, field f row)) work_fields in
+        line key (List.map (fun (a, b) -> if a = b then a else a ^ " -> " ^ b) work);
+        if List.for_all (fun (a, b) -> a = b) work then n + 1 else n)
+      0 compared
+  in
+  Format.printf "work fields unchanged on %d of %d compared rows@." same_work
+    (List.length compared);
+  match List.filter (fun (_, (was, _), (now, _)) -> was <> now) compared with
   | [] ->
     Format.printf "baseline check against %s: OK (%d rows compared)@." name
-      (List.length old)
-  | _ ->
+      (List.length compared)
+  | moved ->
     List.iter
-      (fun (((d, p, m) : string * string * string), old_v, v) ->
-        Format.eprintf "REGRESSION %s/%s/%s: %S -> %S@." d p m old_v v)
-      regressions;
+      (fun (key, (was, _), (now, _)) ->
+        Format.eprintf "VERDICT CHANGED %s: %S -> %S@." key was now)
+      moved;
     exit 3
 
 (* The committed baseline's summed matrix CPU time, for the tracing-off
@@ -946,18 +973,14 @@ let solver_json () =
   (* Read the baseline before the run: it may be the very file we are about
      to overwrite. *)
   let baseline_json = Option.map (fun f -> (f, read_baseline f)) !baseline in
-  let old = Option.map (fun (f, json) -> (f, baseline_verdicts json)) baseline_json in
+  let old = Option.map (fun (f, json) -> (f, baseline_rows json)) baseline_json in
   let old_cpu_s = Option.bind baseline_json (fun (_, json) -> baseline_matrix_cpu_s json) in
   let solver_matrix =
     List.filter (fun (d, _, _, _) -> matrix_selected d) solver_matrix
   in
   let rows = ref [] in
-  let verdicts = ref [] in
   let unchecked = ref [] in
-  let add_row ?key r =
-    rows := r :: !rows;
-    match key with Some kv -> verdicts := kv :: !verdicts | None -> ()
-  in
+  let add_row r = rows := r :: !rows in
   Format.printf "%-20s %-16s %-12s %-24s %8s %10s %12s@." "design" "property"
     "method" "verdict" "time" "conflicts" "props";
   let matrix_t0 = Obs.now () in
@@ -1008,7 +1031,6 @@ let solver_json () =
          | Cert.Refuted _ | Cert.Unchecked _ ->
            unchecked := Printf.sprintf "%s/%s/%s: %s" design property method_ certificate :: !unchecked);
       add_row
-        ~key:((design, property, method_), verdict)
         (json_row ~design ~property ~method_ ~verdict ~time_s
            ~solve_time_s:o.Emmver.solve_time_s
            ~encode_time_s:o.Emmver.encode_time_s ~num_vars:o.Emmver.model_vars
@@ -1118,7 +1140,15 @@ let solver_json () =
   close_out oc;
   Format.printf "wrote %s (%d rows)@." !out_file (List.length !rows);
   (match old with
-  | Some (name, old) -> check_against_baseline ~name ~old !verdicts
+  | Some (name, old) ->
+    (* This run's rows go through the codec's reader too, so both sides are
+       read the same way. *)
+    let now =
+      List.filter_map
+        (fun r -> Result.to_option (Obs.Json.parse (Obs.Json.to_string r)))
+        (List.rev !rows)
+    in
+    check_against_baseline ~name ~old (verdict_rows now)
   | None -> ());
   (match (!overhead_budget, old_cpu_s) with
   | Some pct, Some old_s ->

@@ -517,7 +517,7 @@ let solve_cmd =
   in
   let run file =
     let problem = Satsolver.Dimacs.parse_file file in
-    let solver = Satsolver.Solver.create () in
+    let solver = Satsolver.Solver.create ~cores:true () in
     Satsolver.Dimacs.load_into solver problem;
     (match Satsolver.Solver.solve solver with
     | Satsolver.Solver.Sat ->

@@ -492,7 +492,8 @@ type prop_state = {
 }
 
 let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
-  let solver = Solver.create () in
+  (* Only proof-based abstraction reads cores. *)
+  let solver = Solver.create ~cores:config.collect_reasons () in
   let portfolio = make_portfolio config solver in
   Solver.set_deadline solver config.deadline;
   Solver.set_conflict_budget solver config.conflict_budget;
@@ -663,7 +664,7 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       num_clauses = Solver.num_clauses solver;
       vars_saved = cnf_stats.Cnf.vars_saved;
       clauses_saved = cnf_stats.Cnf.clauses_saved;
-      peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
+      peak_memory_mb = float_of_int (gc.Gc.top_heap_words * 8) /. 1e6;
       latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
       memory_reasons =
         List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);

@@ -87,6 +87,9 @@ type stats = {
           plain per-frame Tseitin baseline (0 when [simplify = false]) *)
   clauses_saved : int;  (** unroller clauses avoided, same baseline *)
   peak_memory_mb : float;
+      (** the process's major-heap high-water mark ([Gc] [top_heap_words]) at
+          the end of the run, in MB of 10{^6} bytes: a peak over the whole
+          process, so it includes what the process held before the run *)
   latch_reasons : Netlist.signal list;
       (** union of latch reasons over all analysed depths *)
   memory_reasons : int list;

@@ -102,6 +102,10 @@ type outcome = {
       (** seconds spent building the formula: unrolling, EMM constraint
           generation and loop-free-path constraints *)
   memory_mb : float;
+      (** the SAT methods' [Bmc.Engine] [peak_memory_mb]: the
+          process's major-heap high-water mark at the end of the run, in MB
+          of 10{^6} bytes; for the BDD method, its peak node count times 40
+          bytes *)
   model_latches : int;  (** latches of the model actually checked *)
   model_vars : int;
   model_clauses : int;

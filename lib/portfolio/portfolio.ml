@@ -128,7 +128,7 @@ let create ?(config = default_config) primary =
     invalid_arg "Portfolio.create: primary solver is not fresh";
   let replicas =
     Array.init (config.domains - 1) (fun i ->
-        let s = Solver.create () in
+        let s = Solver.create ~cores:(Solver.cores_enabled primary) () in
         diversify (i + 1) s;
         s)
   in

@@ -80,8 +80,9 @@ val create : ?config:config -> Solver.t -> t
 (** [create primary] wraps a {e fresh} solver (no variables or clauses yet
     — raises [Invalid_argument] otherwise, since replicas mirror the
     primary by replaying its clause stream from the beginning) and builds
-    [domains - 1] diversified replicas.  Installs a clause listener on the
-    primary; the caller keeps feeding the primary as usual. *)
+    [domains - 1] diversified replicas, each keeping UNSAT cores when the
+    primary does ([Solver.create ~cores]).  Installs a clause listener on
+    the primary; the caller keeps feeding the primary as usual. *)
 
 val solve : ?assumptions:Lit.t list -> t -> Solver.result
 (** Race all instances on the primary's current formula under the given

@@ -1,15 +1,23 @@
 type result = Sat | Unsat
 
-(* Bookkeeping needed to rebuild refutations after clause deletion, for the
-   clause ids that are not original clauses ([cid_tag] holds [derived] for
-   them): learnt clauses keep the premises they were resolved from.
-   Premise entries >= 0 are clause ids; a negative entry -(v+1) refers to
-   the root-level derivation of variable [v] (root assignments are
-   permanent, so their reason chains can be re-traversed at core-extraction
-   time). *)
-type cid_info =
-  | Learnt_from of int array
-  | Imported  (* clause imported from a portfolio peer; no local derivation *)
+(* The core bookkeeping of a solver created with [~cores:true]: what it
+   takes to rebuild, after an UNSAT answer, the original clauses the
+   refutation used, clause deletion notwithstanding.  Original and learnt
+   clauses then share one clause-id (cid) space.  Every learnt clause keeps
+   the premises it was resolved from: entries >= 0 are clause ids; a
+   negative entry -(v+1) refers to the root-level derivation of variable
+   [v] (root assignments are permanent, so their reason chains can be
+   re-traversed at core-extraction time). *)
+type cores = {
+  mutable tag : int array; (* cid -> caller's tag (-1 none), or [derived] *)
+  premises : (int, int array) Hashtbl.t; (* learnt cid -> its premises *)
+  (* [collect_refutation]'s visited marks: clause ids and variables whose
+     stamp equals [stamp] were reached by the current traversal. *)
+  mutable stamp : int;
+  mutable cid_stamp : int array;
+  mutable var_stamp : int array;
+  mutable last : int list; (* original cids of the last refutation *)
+}
 
 (* One line of a DRAT proof: clause additions (learnt clauses, in derivation
    order) interleaved with the deletions performed by DB reduction. *)
@@ -57,13 +65,17 @@ let empty_stats =
      arena.(cr + 2)   LBD (glue); 0 for original clauses
      arena.(cr + 3)…  the literals, the two watched ones first
 
-   Clause activity lives apart, in a [float array] indexed by cid, so that
-   no float is boxed.  A variable's reason is a cref, or -1.  The watch list
-   of a literal is an [int array]: slot 0 holds the number of words in use,
-   then come (blocker, tagged cref) pairs, where the tag (bit 0) marks a
-   binary clause.  The blocker is a literal of the clause other than the
-   watched one: when it is already true the clause is satisfied and its
-   arena words are never loaded.  For a binary clause the blocker is the
+   A learnt clause always takes a cid, which indexes its activity in a
+   [float array] kept apart so that no float is boxed; an original clause
+   takes one only when the solver keeps cores, and holds -1 otherwise.  A
+   variable's reason is a cref, or -1.  The watch list of a literal is an
+   [int array]: slot 0 holds the number of words in use, then come
+   (blocker, tagged cref) pairs, where the tag (bit 0) marks a binary
+   clause.  A literal never watched shares the solver's one-word empty
+   list, whose count stays 0; its first watch allocates a list of its own.
+   The blocker is a literal of the clause other than the watched one: when
+   it is already true the clause is satisfied and its arena words are never
+   loaded.  For a binary clause the blocker is the
    other literal, so propagation resolves it from the watch entry alone and
    leaves its literal order alone; whoever reads a binary clause orients it
    first ([reason_of] for reasons, [propagate] for a conflict).
@@ -85,7 +97,7 @@ let clause_words n = hdr + n + 4
    [reduce_db] compacts the arena. *)
 let garbage_fraction = 0.2
 
-(* [cid_tag] entry of a learnt or imported clause. *)
+(* [cores.tag] entry of a learnt clause. *)
 let derived = -2
 
 let[@inline] var l = l lsr 1
@@ -101,8 +113,9 @@ type t = {
   mutable n_clauses : int;
   mutable learnts : int array; (* crefs of live learnt clauses, learning order *)
   mutable n_learnts : int;
-  mutable clause_act : float array; (* cid -> activity *)
+  mutable clause_act : float array; (* learnt cid -> activity *)
   mutable watches : int array array; (* indexed by literal *)
+  no_watches : int array; (* the shared empty watch list *)
   mutable assign : int array; (* var -> -1 undef / 0 false / 1 true *)
   mutable level : int array;
   mutable reason : int array; (* var -> cref, -1 for none *)
@@ -123,16 +136,9 @@ type t = {
   mutable heap : int array;
   mutable heap_size : int;
   mutable heap_pos : int array;
-  mutable cid_tag : int array; (* cid -> caller's tag (-1 none), or [derived] *)
-  cid_info : (int, cid_info) Hashtbl.t; (* derived cids only *)
+  cores : cores option; (* decided at creation *)
   mutable next_cid : int;
-  (* [collect_refutation]'s visited marks: clause ids and variables whose
-     stamp equals [refute_stamp] were reached by the current traversal. *)
-  mutable refute_stamp : int;
-  mutable cid_stamp : int array;
-  mutable var_stamp : int array;
   mutable ok : bool;
-  mutable last_core : int list;
   mutable last_failed : int list;
   mutable model : int array;
   mutable assumptions : int array;
@@ -180,10 +186,8 @@ let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 let var_marker v = -v - 1
 
-(* A fresh watch list: four pairs of room. *)
-let empty_watches () = Array.make 9 0
-
-let create () =
+let create ?(cores = false) () =
+  let no_watches = [| 0 |] in
   {
     nvars = 0;
     arena = Array.make 1024 0;
@@ -194,7 +198,8 @@ let create () =
     learnts = Array.make 64 0;
     n_learnts = 0;
     clause_act = Array.make 64 0.0;
-    watches = Array.init 128 (fun _ -> empty_watches ());
+    watches = Array.make 128 no_watches;
+    no_watches;
     assign = Array.make 64 (-1);
     level = Array.make 64 (-1);
     reason = Array.make 64 (-1);
@@ -213,14 +218,20 @@ let create () =
     heap = Array.make 64 0;
     heap_size = 0;
     heap_pos = Array.make 64 (-1);
-    cid_tag = Array.make 64 derived;
-    cid_info = Hashtbl.create 1024;
+    cores =
+      (if cores then
+         Some
+           {
+             tag = Array.make 64 derived;
+             premises = Hashtbl.create 1024;
+             stamp = 0;
+             cid_stamp = Array.make 64 0;
+             var_stamp = Array.make 64 0;
+             last = [];
+           }
+       else None);
     next_cid = 0;
-    refute_stamp = 0;
-    cid_stamp = Array.make 64 0;
-    var_stamp = Array.make 64 0;
     ok = true;
-    last_core = [];
     last_failed = [];
     model = [||];
     assumptions = [||];
@@ -283,6 +294,7 @@ let deadline t = t.deadline
 let conflict_budget t = t.conflict_budget
 let learnt_budget_mb t = t.learnt_budget_mb
 let proof_logging_enabled t = t.proof_logging
+let[@inline] cores_enabled t = match t.cores with Some _ -> true | None -> false
 let raw_model t = t.model
 let adopt_model t m = t.model <- Array.copy m
 
@@ -355,7 +367,7 @@ let grow_arrays t n =
     t.level <- grow t.level (-1);
     t.reason <- grow t.reason (-1);
     t.seen <- grow t.seen 0;
-    t.var_stamp <- grow t.var_stamp 0;
+    (match t.cores with Some c -> c.var_stamp <- grow c.var_stamp 0 | None -> ());
     t.trail <- grow t.trail 0;
     t.heap <- grow t.heap 0;
     t.heap_pos <- grow t.heap_pos (-1);
@@ -367,9 +379,9 @@ let grow_arrays t n =
   end;
   let oldw = Array.length t.watches in
   if 2 * n > oldw then begin
-    let cap = max (2 * oldw) (2 * n) in
-    t.watches <-
-      Array.init cap (fun i -> if i < oldw then t.watches.(i) else empty_watches ())
+    let w = Array.make (max (2 * oldw) (2 * n)) t.no_watches in
+    Array.blit t.watches 0 w 0 oldw;
+    t.watches <- w
   end
 
 (* {2 The clause arena} *)
@@ -396,7 +408,7 @@ let load_lits t lits =
 (* Shell sort (Knuth's gaps) of [a.(0) .. a.(n-1)], ascending: an insertion
    sort on the short clauses that make up nearly all intake, and no
    quadratic blow-up on long ones. *)
-let sort_prefix a n =
+let sort_prefix (a : int array) n =
   let gap = ref 1 in
   while !gap < n / 3 do
     gap := (3 * !gap) + 1
@@ -427,10 +439,19 @@ let alloc_clause t ~learnt ~cid ~lbd n =
   a.(cr + 2) <- lbd;
   Array.blit t.lits_buf 0 a (cr + hdr) n;
   t.arena_top <- top;
-  t.clause_act <- reserve t.clause_act (cid + 1) (Array.length t.clause_act) 0.0;
-  t.cid_tag <- reserve t.cid_tag (cid + 1) (Array.length t.cid_tag) derived;
-  t.cid_stamp <- reserve t.cid_stamp (cid + 1) (Array.length t.cid_stamp) 0;
+  if learnt then
+    t.clause_act <- reserve t.clause_act (cid + 1) (Array.length t.clause_act) 0.0;
+  (match t.cores with
+  | Some c ->
+    c.tag <- reserve c.tag (cid + 1) (Array.length c.tag) derived;
+    c.cid_stamp <- reserve c.cid_stamp (cid + 1) (Array.length c.cid_stamp) 0
+  | None -> ());
   cr
+
+let take_cid t =
+  let cid = t.next_cid in
+  t.next_cid <- cid + 1;
+  cid
 
 let[@inline] clause_size t cr = t.arena.(cr) lsr 2
 
@@ -438,13 +459,15 @@ let clause_lits t cr =
   let base = cr + hdr in
   List.init (clause_size t cr) (fun i -> t.arena.(base + i))
 
+(* A literal's first watch gives it a list of its own, with four pairs of
+   room. *)
 let watch t lit blocker tagged =
   let ws = t.watches.(lit) in
   let n = ws.(0) in
   let ws =
     if n + 2 < Array.length ws then ws
     else begin
-      let w = reserve ws (n + 3) (n + 1) 0 in
+      let w = if ws == t.no_watches then Array.make 9 0 else reserve ws (n + 3) (n + 1) 0 in
       t.watches.(lit) <- w;
       w
     end
@@ -746,16 +769,14 @@ let propagate t =
   done;
   !confl
 
-(* DFS over the resolution bookkeeping.  Seeds follow the premise encoding:
-   entries >= 0 are clause ids, negative entries refer to the reason closure
-   of a variable's current assignment.  Returns the original clause ids
-   reached, plus the assumption literals (reason-less assignments above the
-   root level) encountered on the way. *)
-let collect_refutation t seeds =
-  t.refute_stamp <- t.refute_stamp + 1;
-  let stamp = t.refute_stamp in
+(* DFS over the premise record.  Seeds follow the premise encoding: entries
+   >= 0 are clause ids, negative entries refer to the reason closure of a
+   variable's current assignment.  Returns the original clause ids
+   reached. *)
+let collect_refutation t (c : cores) seeds =
+  c.stamp <- c.stamp + 1;
+  let stamp = c.stamp in
   let originals = ref [] in
-  let failed = ref [] in
   let stack = ref seeds in
   let push s = stack := s :: !stack in
   while !stack <> [] do
@@ -764,23 +785,16 @@ let collect_refutation t seeds =
     | s :: rest ->
       stack := rest;
       if s >= 0 then begin
-        if t.cid_stamp.(s) <> stamp then begin
-          t.cid_stamp.(s) <- stamp;
-          if t.cid_tag.(s) <> derived then originals := s :: !originals
-          else
-            match Hashtbl.find t.cid_info s with
-            | Imported ->
-              (* No local derivation: the core under-approximates the
-                 original clauses actually needed.  Consumers that need an
-                 exact core solve without clause sharing. *)
-              ()
-            | Learnt_from premises -> Array.iter push premises
+        if c.cid_stamp.(s) <> stamp then begin
+          c.cid_stamp.(s) <- stamp;
+          if c.tag.(s) <> derived then originals := s :: !originals
+          else Array.iter push (Hashtbl.find c.premises s)
         end
       end
       else begin
         let v = -s - 1 in
-        if t.var_stamp.(v) <> stamp then begin
-          t.var_stamp.(v) <- stamp;
+        if c.var_stamp.(v) <> stamp then begin
+          c.var_stamp.(v) <- stamp;
           let r = t.reason.(v) in
           if r >= 0 then begin
             push t.arena.(r + 1);
@@ -789,12 +803,35 @@ let collect_refutation t seeds =
               if w <> v then push (var_marker w)
             done
           end
-          else if t.level.(v) > 0 then
-            failed := Lit.of_var v (t.assign.(v) = 1) :: !failed
         end
       end
   done;
-  (List.sort_uniq compare !originals, !failed)
+  List.sort_uniq Int.compare !originals
+
+(* Final-conflict analysis (MiniSat's [analyzeFinal]): the assumptions that
+   imply the variables marked 1 in [t.seen].  Walks the trail down from its
+   top, marking the reason literals of every marked variable, and collects
+   the marked variables that have no reason: above the root, under an
+   assumption-level conflict, those are the assumption decisions.  Reads
+   the trail alone, and leaves [t.seen] clear. *)
+let analyze_final t =
+  let failed = ref [] in
+  if t.n_levels > 0 then
+    for i = t.trail_size - 1 downto t.trail_lim.(0) do
+      let l = t.trail.(i) in
+      let v = var l in
+      if t.seen.(v) = 1 then begin
+        t.seen.(v) <- 0;
+        let r = t.reason.(v) in
+        if r < 0 then failed := l :: !failed
+        else
+          for k = r + hdr to r + hdr + clause_size t r - 1 do
+            let w = var t.arena.(k) in
+            if w <> v && t.level.(w) > 0 then t.seen.(w) <- 1
+          done
+      end
+    done;
+  !failed
 
 (* Recursive (MiniSat 2.2 [litRedundant]-style) redundancy check used by
    conflict-clause minimisation: a candidate literal is redundant when every
@@ -804,22 +841,25 @@ let collect_refutation t seeds =
    [t.seen] (2 = removable, 3 = failed).
 
    Every reason clause consulted on a successful derivation participates in
-   the implicit resolution, so its id — and markers for its root-level
-   literals — must join [premises] to keep refutations reconstructible.
-   Premises of sub-derivations that concluded "removable" are committed at
-   marking time even if the top-level check later fails: a later check may
-   reuse the cached mark, and an over-approximated premise set only makes
-   the extracted core larger, never wrong. *)
+   the implicit resolution, so when the solver keeps cores its id — and
+   markers for its root-level literals — must join [premises] to keep
+   refutations reconstructible.  Premises of sub-derivations that concluded
+   "removable" are committed at marking time even if the top-level check
+   later fails: a later check may reuse the cached mark, and an
+   over-approximated premise set only makes the extracted core larger,
+   never wrong. *)
 let abstract_level t v = 1 lsl (t.level.(v) land 31)
 
-(* The reason [r] of [v] joins the premises, with markers for its root-level
-   literals. *)
+(* With cores, the reason [r] of [v] joins the premises, with markers for
+   its root-level literals. *)
 let add_reason_premises t premises v r =
-  premises := t.arena.(r + 1) :: !premises;
-  for i = r + hdr to r + hdr + clause_size t r - 1 do
-    let w = var t.arena.(i) in
-    if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises
-  done
+  if cores_enabled t then begin
+    premises := t.arena.(r + 1) :: !premises;
+    for i = r + hdr to r + hdr + clause_size t r - 1 do
+      let w = var t.arena.(i) in
+      if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises
+    done
+  end
 
 (* On BMC unrollings reason chains run thousands of assignments deep, so an
    unbounded walk can dwarf the savings; past the budget the literal is
@@ -902,10 +942,11 @@ let lit_redundant t abstract_levels premises to_clear q =
   end
 
 (* First-UIP conflict analysis.  Returns the learnt clause (asserting literal
-   first), its LBD, the backjump level, and the premises resolved on the
-   way. *)
+   first), its LBD, the backjump level, and, when the solver keeps cores,
+   the premises resolved on the way. *)
 let analyze t confl =
   let learnt_tail = ref [] in
+  let cores = cores_enabled t in
   let premises = ref [] in
   let to_clear = ref [] in
   let path_c = ref 0 in
@@ -917,7 +958,7 @@ let analyze t confl =
   while !continue do
     let cr = !c in
     let h = t.arena.(cr) in
-    premises := t.arena.(cr + 1) :: !premises;
+    if cores then premises := t.arena.(cr + 1) :: !premises;
     if h land learnt_bit <> 0 then begin
       bump_clause t cr;
       (* Glucose-style dynamic LBD update: clauses that turn out to have a
@@ -940,7 +981,7 @@ let analyze t confl =
           if t.level.(v) >= conflict_level then incr path_c
           else learnt_tail := q :: !learnt_tail
         end
-        else
+        else if cores then
           (* Root-level literal, resolved away: record its derivation so the
              refutation remains reconstructible. *)
           premises := var_marker v :: !premises
@@ -963,8 +1004,8 @@ let analyze t confl =
   done;
   (* Conflict-clause minimisation: drop every non-asserting literal whose
      reason chain is fully covered by the remaining clause (recursively, not
-     just one level deep).  Each dropped literal's reason joins the
-     premises. *)
+     just one level deep).  With cores, each dropped literal's reason joins
+     the premises. *)
   let abstract_levels =
     List.fold_left (fun m q -> m lor abstract_level t (var q)) 0 !learnt_tail
   in
@@ -992,23 +1033,28 @@ let analyze t confl =
       (fun acc q -> if q = negate !p then acc else max acc t.level.(var q))
       0 learnt
   in
-  (learnt, lbd, bj, Array.of_list !premises)
+  (learnt, lbd, bj, !premises)
 
-let record_refutation t seeds =
-  let core, failed = collect_refutation t seeds in
-  t.last_core <- core;
-  t.last_failed <- List.sort_uniq compare failed
+(* Record the refutation behind an UNSAT answer whose conflict is on the
+   variables [vars]: the failed assumptions, [also] among them, and with
+   cores the original clauses used.  [cr] is the conflicting clause, or -1
+   when the conflict is a falsified assumption. *)
+let record_refutation ?(also = []) t cr vars =
+  List.iter (fun v -> if t.level.(v) > 0 then t.seen.(v) <- 1) vars;
+  t.last_failed <- List.sort_uniq Int.compare (also @ analyze_final t);
+  match t.cores with
+  | Some c ->
+    let seeds = List.map var_marker vars in
+    c.last <- collect_refutation t c (if cr >= 0 then t.arena.(cr + 1) :: seeds else seeds)
+  | None -> ()
 
-let mark_root_unsat t seeds =
-  record_refutation t seeds;
+(* An UNSAT answer whose conflict is the clause [cr]. *)
+let refute_clause t cr =
+  record_refutation t cr (List.init (clause_size t cr) (fun i -> var t.arena.(cr + hdr + i)))
+
+let mark_root_unsat t cr =
+  refute_clause t cr;
   t.ok <- false
-
-let clause_seeds t cr =
-  let seeds = ref [ t.arena.(cr + 1) ] in
-  for i = cr + hdr to cr + hdr + clause_size t cr - 1 do
-    seeds := var_marker (var t.arena.(i)) :: !seeds
-  done;
-  !seeds
 
 (* Move up to two non-false literals of a freshly stored clause into the
    watch positions, then attach it, or assert it when it is unit at root,
@@ -1029,11 +1075,11 @@ let install_clause t cr =
     end;
     incr i
   done;
-  if !free = 0 then mark_root_unsat t (clause_seeds t cr)
+  if !free = 0 then mark_root_unsat t cr
   else if !free = 1 then begin
     enqueue t a.(c) cr;
     let confl = propagate t in
-    if confl >= 0 then mark_root_unsat t (clause_seeds t confl)
+    if confl >= 0 then mark_root_unsat t confl
   end
   else attach_clause t cr
 
@@ -1071,10 +1117,15 @@ let add_clause ?(tag = -1) t lits =
     let n = normalise t (load_lits t lits) in
     if n = -2 then invalid_arg "Solver.add_clause: undeclared variable";
     if n >= 0 then begin
-      let cid = t.next_cid in
-      t.next_cid <- cid + 1;
-      let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 n in
-      t.cid_tag.(cid) <- max tag (-1);
+      let cr =
+        match t.cores with
+        | Some c ->
+          let cid = take_cid t in
+          let cr = alloc_clause t ~learnt:false ~cid ~lbd:0 n in
+          c.tag.(cid) <- max tag (-1);
+          cr
+        | None -> alloc_clause t ~learnt:false ~cid:(-1) ~lbd:0 n
+      in
       t.clauses <- push_int t.clauses t.n_clauses cr;
       t.n_clauses <- t.n_clauses + 1;
       install_clause t cr
@@ -1090,9 +1141,10 @@ let learn_clause t lits lbd premises =
   (match t.share_callback with
   | Some f -> if f ~lbd lits then t.shared_out <- t.shared_out + 1
   | None -> ());
-  let cid = t.next_cid in
-  t.next_cid <- cid + 1;
-  Hashtbl.replace t.cid_info cid (Learnt_from premises);
+  let cid = take_cid t in
+  (match t.cores with
+  | Some c -> Hashtbl.replace c.premises cid (Array.of_list premises)
+  | None -> ());
   let cr = alloc_clause t ~learnt:true ~cid ~lbd (load_lits t lits) in
   let n = clause_size t cr in
   t.learnt_words <- t.learnt_words + clause_words n;
@@ -1117,32 +1169,28 @@ let learn_clause t lits lbd premises =
 
 (* Install a clause learnt by a peer solver over the same variable
    numbering.  Root-level only.  The clause enters the learnt database with
-   glue LBD (2), so DB reduction protects it, but it carries no local
-   premises: a core through it under-approximates the original clauses
-   needed.
-   Returns [false] when the clause is dropped (unknown variable, tautology,
-   or already satisfied at root). *)
+   glue LBD (2), so DB reduction protects it.  Returns [false] when the
+   clause is dropped (unknown variable, tautology, or already satisfied at
+   root). *)
 let import_clause t lits =
   if t.n_levels <> 0 then invalid_arg "Solver.import_clause: not at root level";
   let n = normalise t (load_lits t lits) in
   if n <= 0 then false
   else begin
-    let cid = t.next_cid in
-    t.next_cid <- cid + 1;
-    Hashtbl.replace t.cid_info cid Imported;
-    let cr = alloc_clause t ~learnt:true ~cid ~lbd:2 n in
+    let cr = alloc_clause t ~learnt:true ~cid:(take_cid t) ~lbd:2 n in
     t.learnt_words <- t.learnt_words + clause_words (clause_size t cr);
     push_learnt t cr;
     install_clause t cr;
     true
   end
 
-(* Imports are refused under proof logging: a peer's clause is not RUP with
-   respect to this instance's own derivation, so admitting it would
-   invalidate the DRAT log.  Callers that certify must solve without
-   sharing (the portfolio layer enforces this). *)
+(* Imports are refused under proof logging and by a solver that keeps
+   cores: a peer's clause has no derivation in this instance, so admitting
+   it would invalidate the DRAT log, and a core through it would miss the
+   original clauses it rests on.  Callers that certify or read cores solve
+   without sharing (the engine turns sharing off for them). *)
 let import_clauses t cls =
-  if t.proof_logging then 0
+  if t.proof_logging || cores_enabled t then 0
   else begin
     let n =
       List.fold_left
@@ -1328,12 +1376,12 @@ let search t conflict_budget =
         raise (Budget_exceeded "learnt-db memory")
       | Some _ | None -> ());
       if t.n_levels = 0 then begin
-        mark_root_unsat t (clause_seeds t confl);
+        mark_root_unsat t confl;
         raise (Found Unsat)
       end
       else if t.n_levels <= n_assumptions then begin
         (* The conflict is forced by the assumptions alone. *)
-        record_refutation t (clause_seeds t confl);
+        refute_clause t confl;
         raise (Found Unsat)
       end
       else begin
@@ -1365,9 +1413,7 @@ let search t conflict_budget =
         | 1 -> new_decision_level t (* already satisfied: placeholder level *)
         | 0 ->
           (* Assumption contradicted by the implied assignment. *)
-          let core, failed = collect_refutation t [ var_marker (var p) ] in
-          t.last_core <- core;
-          t.last_failed <- List.sort_uniq compare (p :: failed);
+          record_refutation ~also:[ p ] t (-1) [ var p ];
           raise (Found Unsat)
         | _ ->
           new_decision_level t;
@@ -1461,13 +1507,17 @@ let value_var t v = v < Array.length t.model && t.model.(v) = 1
 let value t l =
   if positive l then value_var t (var l) else not (value_var t (var l))
 
-let unsat_core t = t.last_core
+let cores_of t what =
+  match t.cores with
+  | Some c -> c
+  | None -> invalid_arg ("Solver." ^ what ^ ": solver created without cores")
+
+let unsat_core t = (cores_of t "unsat_core").last
 
 let unsat_core_tags t =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun cid -> if t.cid_tag.(cid) >= 0 then Some t.cid_tag.(cid) else None)
-       t.last_core)
+  let c = cores_of t "unsat_core_tags" in
+  List.sort_uniq Int.compare
+    (List.filter_map (fun cid -> if c.tag.(cid) >= 0 then Some c.tag.(cid) else None) c.last)
 
 let failed_assumptions t = t.last_failed
 

@@ -1,28 +1,30 @@
-(** Incremental CDCL SAT solver with UNSAT-core extraction.
+(** Incremental CDCL SAT solver with UNSAT-core extraction on demand.
 
     The solver implements the standard conflict-driven clause-learning loop
     (two-watched-literal propagation with blocking literals, first-UIP
     learning with recursive conflict-clause minimisation, VSIDS decision
     ordering with phase saving, Luby restarts, LBD-aware learnt-clause
-    deletion with glue-clause protection) together with resolution-trace
-    bookkeeping: every learnt clause records the clauses it was resolved
-    from, so that after an UNSAT answer the set of {e original} clauses
-    participating in the refutation can be reconstructed.  This is the
-    [SAT_Get_Refutation] primitive of the paper (Fig. 1 line 10), which
-    proof-based abstraction consumes.
+    deletion with glue-clause protection).  A solver created with
+    [~cores:true] also keeps resolution-trace bookkeeping: every learnt
+    clause records the clauses it was resolved from, so that after an UNSAT
+    answer the set of {e original} clauses participating in the refutation
+    can be reconstructed.  This is the [SAT_Get_Refutation] primitive of the
+    paper (Fig. 1 line 10), which proof-based abstraction consumes.  The
+    failed assumptions of an UNSAT answer need no such record: a
+    final-conflict analysis over the trail finds them in either mode.
 
     The data layout is flat, so that propagation allocates nothing: all
     clauses live in one growable [int array] (the arena: a three-word header
     of size and learnt/removed flags, clause id and LBD, then the literals),
     learnt-clause activity in a [float array] indexed by clause id, reasons
     are arena offsets, and each literal's watch list is an [int array] of
-    (blocker, clause offset) pairs.  A watch entry whose blocker is true is
-    passed over without loading the clause, and a binary clause is resolved
-    from its watch entry alone.  The VSIDS heap compares scores read straight
-    from a [float array].  Once database reduction has left enough deleted
-    clauses behind, the arena is compacted, with every reference relocated in
-    its current order; none of this changes which clauses are learnt, kept or
-    deleted.
+    (blocker, clause offset) pairs, allocated at the literal's first watch.
+    A watch entry whose blocker is true is passed over without loading the
+    clause, and a binary clause is resolved from its watch entry alone.  The
+    VSIDS heap compares scores read straight from a [float array].  Once
+    database reduction has left enough deleted clauses behind, the arena is
+    compacted, with every reference relocated in its current order; none of
+    this changes which clauses are learnt, kept or deleted.
 
     Clauses may carry an integer [tag]; {!unsat_core_tags} reports the
     distinct tags present in the refutation.  The BMC layers tag clauses with
@@ -33,7 +35,20 @@ type t
 
 type result = Sat | Unsat
 
-val create : unit -> t
+val create : ?cores:bool -> unit -> t
+(** A fresh solver.  [cores] (default [false]) decides, for the solver's
+    lifetime, whether it keeps what {!unsat_core} and {!unsat_core_tags}
+    read.  That costs, per learnt clause, the array of clause ids it was
+    resolved from; per clause, a clause id, its tag, an activity slot and a
+    visited mark; per variable, a visited mark; and a walk over the
+    derivation at every UNSAT answer.  On quicksort-n3 P1 to depth 20 these
+    records took 2.3 of the 10.5 MB the solver held when every solver kept
+    them (EXPERIMENTS.md, "Cores on demand").  A solver with cores refuses
+    imported clauses ({!import_clauses}).  The search, and so every answer,
+    model, failed assumption set and counter, is the same either way. *)
+
+val cores_enabled : t -> bool
+(** Whether the solver was created with [~cores:true]. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
@@ -112,10 +127,11 @@ val import_clauses : t -> Lit.t list list -> int
 (** Install peer-learnt clauses at root level; returns how many were
     actually admitted (tautologies, root-satisfied clauses and clauses over
     undeclared variables are dropped).  Refuses all imports (returns [0])
-    while proof logging is on: an imported clause is not RUP with respect to
-    this instance's own derivation, so admitting one would invalidate the
-    DRAT log.  Must be called at root level, i.e. not from within a search
-    callback. *)
+    while proof logging is on, and in a solver that keeps cores: an imported
+    clause has no derivation in this instance, so admitting one would
+    invalidate the DRAT log, and a core through it would miss the original
+    clauses it rests on.  Must be called at root level, i.e. not from within
+    a search callback. *)
 
 val set_clause_listener : t -> (int -> Lit.t list -> unit) option -> unit
 (** [f tag lits] observes every {!add_clause} call, pre-simplification and
@@ -183,18 +199,20 @@ val value_var : t -> int -> bool
 
 val unsat_core : t -> int list
 (** After an [Unsat] answer: ids of original clauses sufficient for the
-    refutation (together with the assumptions).  Ids are those returned
-    implicitly by clause insertion order, starting at 0.  A clause imported
-    from a peer ({!import_clauses}) has no local derivation, so a refutation
-    through one yields an under-approximate core: consumers that need exact
-    cores (proof-based abstraction) solve without clause sharing. *)
+    refutation (together with the assumptions).  Original and learnt
+    clauses draw their ids from one counter, in the order they are stored,
+    starting at 0.
+    @raise Invalid_argument if the solver was created without cores. *)
 
 val unsat_core_tags : t -> int list
-(** Distinct non-negative tags of the original clauses in {!unsat_core}. *)
+(** Distinct non-negative tags of the original clauses in {!unsat_core}.
+    @raise Invalid_argument if the solver was created without cores. *)
 
 val failed_assumptions : t -> Lit.t list
 (** After an [Unsat] answer under assumptions: a subset of the assumptions
-    sufficient for unsatisfiability. *)
+    sufficient for unsatisfiability, sorted.  Found by final-conflict
+    analysis over the trail (MiniSat's [analyzeFinal]), with or without
+    cores. *)
 
 (** {2 Proof logging}
 

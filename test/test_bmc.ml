@@ -156,6 +156,31 @@ let test_latch_reasons_locality () =
   Alcotest.(check bool) "b not in reasons" false
     (List.exists (fun n -> String.length n >= 1 && n.[0] = 'b') names)
 
+(* Only proof-based abstraction reads cores, so only a run that collects
+   reasons gets a solver that keeps them; a certified run logs DRAT
+   without them.  The solver is taken from the unroller the hooks see. *)
+let test_cores_only_for_reasons () =
+  let ctx, count = saturating_counter ~width:3 ~limit:4 in
+  Hdl.assert_always ctx "never6" (Netlist.not_ (Hdl.eq_const ctx count 6));
+  let net = Hdl.netlist ctx in
+  let cores_of config =
+    let kept = ref None in
+    let hooks =
+      {
+        Bmc.Engine.no_hooks with
+        on_unroll = (fun unr _ -> kept := Some (Satsolver.Solver.cores_enabled (Cnf.solver unr)));
+      }
+    in
+    ignore (Bmc.Engine.check ~config ~hooks net ~property:"never6");
+    Option.get !kept
+  in
+  let base = { Bmc.Engine.default_config with max_depth = 8 } in
+  Alcotest.(check bool) "plain run keeps no cores" false (cores_of base);
+  Alcotest.(check bool) "certified run keeps no cores" false
+    (cores_of { base with certify = true });
+  Alcotest.(check bool) "reason collection keeps cores" true
+    (cores_of { base with collect_reasons = true })
+
 let test_free_latch_abstraction () =
   (* Abstracting the only relevant latch turns a provable property into a
      spurious counterexample. *)
@@ -265,6 +290,7 @@ let () =
           Alcotest.test_case "input-driven trace" `Quick test_input_driven_trace;
           Alcotest.test_case "arbitrary-init latch" `Quick test_arbitrary_init_latch;
           Alcotest.test_case "latch reasons locality" `Quick test_latch_reasons_locality;
+          Alcotest.test_case "cores only for reasons" `Quick test_cores_only_for_reasons;
           Alcotest.test_case "free-latch abstraction" `Quick test_free_latch_abstraction;
         ] );
       ("property", qsuite);

@@ -111,7 +111,7 @@ let test_latch_tags_present () =
   let r = Hdl.reg_bit ctx "r" in
   Hdl.connect_bit ctx r Netlist.true_;
   let net = Hdl.netlist ctx in
-  let solver = Solver.create () in
+  let solver = Solver.create ~cores:true () in
   let unr = Cnf.create solver net in
   (* Query: reset r and demand it low at frame 1 — the refutation must cite
      the latch. *)

@@ -153,7 +153,7 @@ let test_incremental_reuse () =
 
 let test_unsat_core_subset () =
   (* Clauses 0..2 form the contradiction; 3..4 are irrelevant. *)
-  let s = Solver.create () in
+  let s = Solver.create ~cores:true () in
   Solver.ensure_vars s 5;
   Solver.add_clause s ~tag:0 [ lit 0 true ];
   Solver.add_clause s ~tag:1 [ lit 0 false; lit 1 true ];
@@ -168,7 +168,7 @@ let test_unsat_core_subset () =
     (not (List.mem 3 tags) && not (List.mem 4 tags))
 
 let test_unsat_core_under_assumptions () =
-  let s = Solver.create () in
+  let s = Solver.create ~cores:true () in
   Solver.ensure_vars s 4;
   Solver.add_clause s ~tag:10 [ lit 0 false; lit 1 true ];
   Solver.add_clause s ~tag:11 [ lit 1 false; lit 2 true ];
@@ -180,6 +180,24 @@ let test_unsat_core_under_assumptions () =
   Alcotest.(check bool) "implication chain in core" true
     (List.mem 10 tags && List.mem 11 tags && List.mem 12 tags);
   Alcotest.(check bool) "irrelevant unit excluded" true (not (List.mem 13 tags))
+
+(* Cores are kept only on request: a solver created without them refuses
+   to answer for one, and a solver with them refuses peer clauses, which
+   would have no derivation to walk. *)
+let test_cores_on_request () =
+  let s, r = solve_clauses [ [ lit 0 true ]; [ lit 0 false ] ] in
+  Alcotest.(check bool) "unsat" true (r = Solver.Unsat);
+  Alcotest.check_raises "no core without cores"
+    (Invalid_argument "Solver.unsat_core: solver created without cores") (fun () ->
+      ignore (Solver.unsat_core s));
+  Alcotest.check_raises "no core tags without cores"
+    (Invalid_argument "Solver.unsat_core_tags: solver created without cores") (fun () ->
+      ignore (Solver.unsat_core_tags s));
+  let s = Solver.create ~cores:true () in
+  Solver.ensure_vars s 2;
+  Alcotest.(check int) "imports refused with cores" 0
+    (Solver.import_clauses s [ [ lit 0 true; lit 1 true ] ]);
+  Alcotest.(check int) "no clause taken" 0 (Solver.num_learnts s)
 
 let test_dimacs_roundtrip () =
   let text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
@@ -248,7 +266,7 @@ let prop_checker_validates_random_unsat =
    fail verification. *)
 let core_reverifies clauses =
   let arr = Array.of_list clauses in
-  let s = Solver.create () in
+  let s = Solver.create ~cores:true () in
   let nv =
     List.fold_left
       (fun acc c -> List.fold_left (fun acc l -> max acc (Lit.var l + 1)) acc c)
@@ -472,7 +490,7 @@ let test_reduction_and_compaction () =
     List.map (fun c -> Lit.negate a :: c) (random_3sat st ~num_vars ~num_clauses:286)
   in
   let clauses = Array.of_list (free @ guarded) in
-  let s = Solver.create () in
+  let s = Solver.create ~cores:true () in
   Solver.set_proof_logging s true;
   Solver.ensure_vars s (num_vars + 1);
   Array.iteri (fun i c -> Solver.add_clause s ~tag:i c) clauses;
@@ -499,6 +517,33 @@ let test_reduction_and_compaction () =
     (Solver.solve ~assumptions:[ a ] s = Solver.Unsat);
   Alcotest.(check (list int)) "a is the failed assumption" [ a ]
     (Solver.failed_assumptions s)
+
+(* Cores only add bookkeeping, also through learnt-DB reduction and arena
+   compaction, which the small instances of "cores leave the search
+   unchanged" never reach: the instance above, solved under [a], without
+   [a] and under [a] again by a solver with cores and one without, gives
+   the same answers, counts and deletions. *)
+let test_cores_keep_reduction () =
+  let num_vars = 130 in
+  let a = lit num_vars true in
+  let st = Random.State.make [| 0xdb; 10 |] in
+  let free = random_3sat st ~num_vars ~num_clauses:286 in
+  let guarded =
+    List.map (fun c -> Lit.negate a :: c) (random_3sat st ~num_vars ~num_clauses:286)
+  in
+  let run cores =
+    let s = Solver.create ~cores () in
+    Solver.ensure_vars s (num_vars + 1);
+    List.iter (Solver.add_clause s) (free @ guarded);
+    let answers = List.map (fun assumptions -> Solver.solve ~assumptions s) [ [ a ]; []; [ a ] ] in
+    (answers, Solver.stats s)
+  in
+  let plain_answers, plain = run false and cored_answers, cored = run true in
+  Alcotest.(check bool) "database reduced" true (plain.Solver.db_reductions > 0);
+  Alcotest.(check bool) "same answers" true (plain_answers = cored_answers);
+  Alcotest.(check (list int)) "same counts"
+    [ plain.Solver.conflicts; plain.decisions; plain.propagations; plain.deleted_clauses ]
+    [ cored.Solver.conflicts; cored.decisions; cored.propagations; cored.deleted_clauses ]
 
 (* Seeded with a satisfying assignment, every decision takes that
    assignment's value and every implication agrees with it, so the search
@@ -564,7 +609,7 @@ let prop_core_is_unsat =
     (gen_clauses 7)
     (fun clauses ->
       let arr = Array.of_list clauses in
-      let s = Solver.create () in
+      let s = Solver.create ~cores:true () in
       Solver.ensure_vars s 7;
       Array.iteri (fun i c -> Solver.add_clause s ~tag:i c) arr;
       match Solver.solve s with
@@ -581,7 +626,7 @@ let prop_assumption_core =
     (fun (clauses, assumed_vars) ->
       let assumptions = List.sort_uniq compare (List.map (fun v -> lit v true) assumed_vars) in
       let arr = Array.of_list clauses in
-      let s = Solver.create () in
+      let s = Solver.create ~cores:true () in
       Solver.ensure_vars s 7;
       Array.iteri (fun i c -> Solver.add_clause s ~tag:i c) arr;
       match Solver.solve ~assumptions s with
@@ -594,6 +639,26 @@ let prop_assumption_core =
         let as_units = List.map (fun l -> [ l ]) failed in
         List.for_all (fun l -> List.mem l assumptions) failed
         && not (brute_force_sat 7 (as_units @ core_clauses)))
+
+(* Without cores, the failed assumptions of an UNSAT answer come from the
+   trail alone: a subset of the cube which, as unit clauses, refutes the
+   clauses by itself.  Cubes may hold a literal and its negation. *)
+let prop_failed_assumptions_without_cores =
+  QCheck2.Test.make ~count:300 ~name:"failed assumptions without cores refute the clauses"
+    QCheck2.Gen.(pair (gen_clauses 7) (list_size (int_range 1 4) (pair (int_bound 6) bool)))
+    (fun (clauses, cube) ->
+      let assumptions = List.sort_uniq compare (List.map (fun (v, b) -> lit v b) cube) in
+      let s = Solver.create () in
+      Solver.ensure_vars s 7;
+      List.iter (Solver.add_clause s) clauses;
+      match Solver.solve ~assumptions s with
+      | Solver.Sat ->
+        List.for_all (Solver.value s) assumptions
+        && List.for_all (List.exists (Solver.value s)) clauses
+      | Solver.Unsat ->
+        let failed = Solver.failed_assumptions s in
+        List.for_all (fun l -> List.mem l assumptions) failed
+        && not (brute_force_sat 7 (List.map (fun l -> [ l ]) failed @ clauses)))
 
 let prop_incremental_consistent =
   QCheck2.Test.make ~count:100 ~name:"incremental solving matches fresh solver"
@@ -645,6 +710,44 @@ let prop_seeded_phases_keep_answers =
           && (got = Solver.Unsat || (model_ok plain assumptions && model_ok seeded assumptions)))
         (List.init (1 + Random.State.int st 4) (fun _ -> cube ())))
 
+(* Cores only add bookkeeping.  Random 3-SAT with 15 to 60 variables near
+   the phase transition, solved under a sequence of random assumption cubes
+   by a solver with cores and one without: every answer, model, failed
+   assumption set and conflict, decision and propagation count agrees. *)
+let prop_cores_keep_search =
+  QCheck2.Test.make ~count:150 ~name:"cores leave the search unchanged"
+    ~print:QCheck2.Print.int QCheck2.Gen.int
+    (fun seed ->
+      let st = Random.State.make [| 0xc0e5; seed |] in
+      let num_vars = 15 + Random.State.int st 46 in
+      let num_clauses = int_of_float ((3.8 +. Random.State.float st 1.0) *. float_of_int num_vars) in
+      let clauses = random_3sat st ~num_vars ~num_clauses in
+      let load s =
+        Solver.ensure_vars s num_vars;
+        List.iter (Solver.add_clause s) clauses;
+        s
+      in
+      let plain = load (Solver.create ()) and cored = load (Solver.create ~cores:true ()) in
+      let counts s =
+        let x = Solver.stats s in
+        (x.Solver.conflicts, x.Solver.decisions, x.Solver.propagations)
+      in
+      let cube () =
+        List.sort_uniq compare
+          (List.init (Random.State.int st 5) (fun _ ->
+               lit (Random.State.int st num_vars) (Random.State.bool st)))
+      in
+      List.for_all
+        (fun assumptions ->
+          let r = Solver.solve ~assumptions plain in
+          r = Solver.solve ~assumptions cored
+          && counts plain = counts cored
+          &&
+          match r with
+          | Solver.Sat -> Solver.raw_model plain = Solver.raw_model cored
+          | Solver.Unsat -> Solver.failed_assumptions plain = Solver.failed_assumptions cored)
+        (List.init (1 + Random.State.int st 4) (fun _ -> cube ())))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -653,6 +756,8 @@ let () =
         prop_agrees_with_brute_force;
         prop_core_is_unsat;
         prop_assumption_core;
+        prop_failed_assumptions_without_cores;
+        prop_cores_keep_search;
         prop_incremental_consistent;
         prop_checker_validates_random_unsat;
         prop_seeded_phases_keep_answers;
@@ -675,6 +780,7 @@ let () =
           Alcotest.test_case "unsat core subset" `Quick test_unsat_core_subset;
           Alcotest.test_case "unsat core under assumptions" `Quick
             test_unsat_core_under_assumptions;
+          Alcotest.test_case "cores on request" `Quick test_cores_on_request;
           Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "checker validates pigeonhole" `Quick
             test_checker_validates_pigeonhole;
@@ -697,6 +803,8 @@ let () =
             test_seeded_solution_no_conflicts;
           Alcotest.test_case "reduction and compaction" `Quick
             test_reduction_and_compaction;
+          Alcotest.test_case "cores keep the search through reduction" `Quick
+            test_cores_keep_reduction;
         ] );
       ("property", qsuite);
     ]
