@@ -621,14 +621,27 @@ let baseline_rows json =
 let work_fields =
   [ "num_vars"; "num_clauses"; "conflicts"; "decisions"; "propagations"; "proof_steps" ]
 
+(* The work gate's bound: a row may make at most 1.5 times its baseline
+   conflicts, and at most 1.5 times its baseline propagations, plus 100
+   each, so that rows of a few dozen conflicts do not trip it on noise of
+   their own size. *)
+let work_bound baseline = (1.5 *. float_of_int baseline) +. 100.0
+
+let gated_work_fields = [ "conflicts"; "propagations" ]
+
 (* The verdict gate: every row of this run that the baseline also has must
    keep its full verdict string (class, proof kind, depth, genuine or
    spurious), else the run exits 3 naming each moved row, old and new.
    Rows on one side only are named, not failed, since [--only] runs a
    subset.  Each compared row's work fields are printed, as one value when
-   it is unchanged and as baseline -> now when it moved; they are
-   reported, not gated. *)
-let check_against_baseline ~name ~old rows =
+   it is unchanged and as baseline -> now when it moved.
+
+   The work gate follows when every verdict matches: a compared row whose
+   conflicts or propagations exceed [work_bound] of the baseline's exits 5,
+   naming the row and the field, old -> new.  [~gate_work:false] skips it:
+   with more than one domain the work of a row depends on how the racing
+   domains interleave. *)
+let check_against_baseline ~name ~gate_work ~old rows =
   let compared =
     List.filter_map
       (fun (key, row) -> Option.map (fun o -> (key, o, row)) (List.assoc_opt key old))
@@ -660,7 +673,7 @@ let check_against_baseline ~name ~old rows =
   in
   Format.printf "work fields unchanged on %d of %d compared rows@." same_work
     (List.length compared);
-  match List.filter (fun (_, (was, _), (now, _)) -> was <> now) compared with
+  (match List.filter (fun (_, (was, _), (now, _)) -> was <> now) compared with
   | [] ->
     Format.printf "baseline check against %s: OK (%d rows compared)@." name
       (List.length compared)
@@ -669,7 +682,31 @@ let check_against_baseline ~name ~old rows =
       (fun (key, (was, _), (now, _)) ->
         Format.eprintf "VERDICT CHANGED %s: %S -> %S@." key was now)
       moved;
-    exit 3
+    exit 3);
+  if gate_work then begin
+    let grown =
+      List.concat_map
+        (fun (key, (_, o), (_, row)) ->
+          List.filter_map
+            (fun f ->
+              match (Obs.Json.int_field f o, Obs.Json.int_field f row) with
+              | Some was, Some now when float_of_int now > work_bound was ->
+                Some (key, f, was, now)
+              | _ -> None)
+            gated_work_fields)
+        compared
+    in
+    match grown with
+    | [] ->
+      Format.printf "work gate: OK (every compared row within its bound)@."
+    | grown ->
+      List.iter
+        (fun (key, f, was, now) ->
+          Format.eprintf "WORK GREW %s: %s %d -> %d (bound %.0f)@." key f was now
+            (work_bound was))
+        grown;
+      exit 5
+  end
 
 (* The committed baseline's summed matrix CPU time, for the tracing-off
    overhead gate. *)
@@ -882,6 +919,9 @@ let serve_sweep () =
           (try Unix.waitpid [] pid
            with Unix.Unix_error _ -> (pid, Unix.WEXITED 0));
         ignore (Vcache.clear (Vcache.config ~dir:cache_dir ()));
+        (* [Vcache.clear] deletes the entries and keeps the store's
+           directory, which would keep [dir] from going too. *)
+        (try Unix.rmdir cache_dir with Unix.Unix_error _ -> ());
         (try Sys.remove socket with Sys_error _ -> ());
         (try Unix.rmdir dir with Unix.Unix_error _ -> ())
       in
@@ -1148,7 +1188,7 @@ let solver_json () =
         (fun r -> Result.to_option (Obs.Json.parse (Obs.Json.to_string r)))
         (List.rev !rows)
     in
-    check_against_baseline ~name ~old (verdict_rows now)
+    check_against_baseline ~name ~gate_work:(!domains = 1) ~old (verdict_rows now)
   | None -> ());
   (match (!overhead_budget, old_cpu_s) with
   | Some pct, Some old_s ->

@@ -154,8 +154,8 @@ let no_hooks =
 
 (* One kind of termination query and the model of its last satisfiable
    answer, which seeds the solver's saved phases for the next query of the
-   kind.  [shifts]: the model moves forward one frame per depth since
-   [taken_at] before it seeds, into the reused [shifted]. *)
+   kind.  [shifts]: a query at a depth past [taken_at] takes the model
+   moved forward that many frames, into the reused [shifted]. *)
 type termination = {
   what : string;
   shifts : bool;
@@ -175,7 +175,9 @@ type run = {
   net : Netlist.t;
   solver : Solver.t;
   unr : Cnf.t;
-  act_lfp : Lit.t;
+  guards : (int, Lit.t) Hashtbl.t;
+      (* frame f >= 1 -> g_f, which enables the loop-free-path pairs (j, f);
+         g_f implies g_(f-1), so assuming g_j enables LFP_j *)
   state_latches : Netlist.signal list;
   latch_lits : (int, Lit.t list) Hashtbl.t;
       (* frame -> its state-latch literals, encoded with full polarity so
@@ -266,7 +268,7 @@ let timed_encode run f =
     (fun () -> Obs.span "encode" f)
 
 (* The loop-free-path constraint of frames [j < i]: state [i] differs from
-   state [j], guarded by [act_lfp].  State is the latch vector plus — when
+   state [j], guarded by frame [i]'s guard.  State is the latch vector plus — when
    the hooks provide a memory-distinctness predicate — the contents of the
    modeled memories, so a frame pair only counts as a repeat when latches
    AND memory agree. *)
@@ -289,7 +291,7 @@ let add_lfp_pair run (j, i) =
       if d = Cnf.false_lit unr then diffs else d :: diffs
     | None -> diffs
   in
-  Cnf.add_clause unr (Lit.negate run.act_lfp :: diffs);
+  Cnf.add_clause unr (Lit.negate (Hashtbl.find run.guards i) :: diffs);
   Hashtbl.replace run.lfp_pairs (j, i) ()
 
 (* Loop-free-path constraints on demand (Eén and Sörensson, "Temporal
@@ -326,13 +328,16 @@ let refine_lfp run i =
    Refinement re-solves keep the phases the solver saved from the model
    just found.  Phases only order the search: the answer is the formula's. *)
 let solve_lfp q run i assumptions =
-  let seed = ref q.last_model in
-  if q.shifts && Array.length !seed > 0 then
-    for _ = q.taken_at + 1 to i do
-      seed := Cnf.shift_model ~into:q.shifted run.unr ~depth:i !seed;
-      q.shifted <- !seed
-    done;
-  Solver.seed_phases run.solver !seed;
+  let seed =
+    if q.shifts && Array.length q.last_model > 0 && i > q.taken_at then begin
+      q.shifted <-
+        Cnf.shift_model ~into:q.shifted ~frames:(i - q.taken_at) run.unr ~depth:i
+          q.last_model;
+      q.shifted
+    end
+    else q.last_model
+  in
+  Solver.seed_phases run.solver seed;
   let rec go () =
     match timed_solve ~what:q.what run assumptions with
     | Solver.Unsat -> Solver.Unsat
@@ -481,15 +486,26 @@ let certifier run ev =
     | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what)
   end
 
-(* Per-property state: the CP activation literal and, once decided, the
-   verdict.  A property is retired as soon as a counterexample or a proof
-   lands. *)
+(* Per-property state: the property's literal at each frame encoded so
+   far and, once decided, the verdict.  A property is retired as soon as a
+   counterexample or a proof lands. *)
 type prop_state = {
   ps_name : string;
   ps_signal : Netlist.signal;
-  ps_act_cp : Lit.t;
+  mutable ps_lits : Lit.t array;  (* frame -> p_frame *)
   mutable ps_verdict : verdict option;
 }
+
+(* Termination queries run at every [stride]-th depth and at [max_depth];
+   an Unsat answer there asks the skipped depths, least first (see
+   [check_all]).  On quicksort-n3 P1 to depth 20 (the quicksort-solver
+   benchmark workload, 2-vCPU host), against checking every depth, stride
+   2 took 0.67x the time, stride 3 0.87x (901 conflicts to stride 2's 407)
+   and stride 4 1.0x (1,104 conflicts).  A schedule that instead balanced
+   termination cost against falsification cost overshot quicksort-n3 P1's
+   diameter-32 proof, reaching 37,279 variables and 5,598 conflicts where
+   checking every depth needs 21,021 and 2,572. *)
+let stride = 2
 
 let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   (* Only proof-based abstraction reads cores. *)
@@ -500,16 +516,13 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
   if config.certify then Solver.set_proof_logging solver true;
   let unr = make_unroller config solver net in
-  (* Allocation order fixes the variable numbering, and with it the search:
-     the CP literals, then [act_lfp], then [act_init]. *)
   let props =
     List.map
       (fun name ->
-        let ps_act_cp = Cnf.fresh_lit unr in
         {
           ps_name = name;
           ps_signal = Netlist.find_property net name;
-          ps_act_cp;
+          ps_lits = [||];
           ps_verdict = None;
         })
       properties
@@ -521,7 +534,7 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       net;
       solver;
       unr;
-      act_lfp = Cnf.fresh_lit unr;
+      guards = Hashtbl.create 64;
       state_latches =
         List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
       latch_lits = Hashtbl.create 64;
@@ -557,11 +570,61 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let proof_checks_at i = config.proof_checks && (lfp_meaningful || i = 0) in
   (* In pure falsification mode the property literal only ever appears under
      negation (the [~p_i] assumption), so the polarity-aware encoder can
-     drop the downward implications of its cone.  The proof checks also use
-     it positively (CP clauses). *)
+     drop the downward implications of its cone.  The proof checks also
+     assume it positively (CP). *)
   let prop_pol = if config.proof_checks then Cnf.Both else Cnf.Neg in
   let decide v p = p.ps_verdict <- Some v in
-  (* One depth of BMC-1 (Fig. 1) over the undecided properties [pending]. *)
+  let undecided ps = List.filter (fun p -> p.ps_verdict = None) ps in
+  let guard j = if j = 0 then [] else [ Hashtbl.find run.guards j ] in
+  (* Forward termination at depth j: no loop-free path of length j from I. *)
+  let lfp_unsat j = solve_lfp run.lfp run j (act_init :: guard j) = Solver.Unsat in
+  (* Backward termination at depth j: LFP_j /\ CP_j /\ ~P_j, where CP_j is
+     P at frames 0..j-1. *)
+  let induction_unsat j p =
+    let cp = List.init j (Array.get p.ps_lits) in
+    solve_lfp run.induction run j (guard j @ cp @ [ Lit.negate p.ps_lits.(j) ])
+    = Solver.Unsat
+  in
+  (* The deepest depth whose termination queries have been asked. *)
+  let checked = ref (-1) in
+  (* The termination queries at depth d.  They prove [proved]: every
+     undecided property when the forward query answers Unsat, else those
+     whose induction query does.  A proof at a depth skipped since
+     [checked] comes first.  Both queries are monotone in depth (a
+     loop-free path of length d+1 has a loop-free prefix and a loop-free
+     suffix of length d), so the skipped depths are asked, least first, the
+     forward query if it answered Unsat at d and the induction query of
+     each property still in [proved]; the least Unsat depth decides.  At
+     one depth a diameter proof settles every undecided property before any
+     induction query. *)
+  let check d =
+    let skipped = !checked + 1 in
+    checked := d;
+    let pending = undecided props in
+    let lfp = lfp_unsat d in
+    let proved = if lfp then pending else List.filter (induction_unsat d) pending in
+    let rec least j =
+      let proved = undecided proved in
+      if j = d then
+        let kind = if lfp then Forward_diameter else Backward_induction in
+        List.iter (decide (Proof { depth = d; kind })) proved
+      else if lfp && lfp_unsat j then
+        List.iter (decide (Proof { depth = j; kind = Forward_diameter })) proved
+      else begin
+        List.iter
+          (fun p ->
+            if induction_unsat j p then
+              decide (Proof { depth = j; kind = Backward_induction }) p)
+          proved;
+        least (j + 1)
+      end
+    in
+    if proved <> [] then least skipped
+  in
+  (* One depth of BMC-1 (Fig. 1) over the undecided properties [pending].
+     Termination queries run at every [stride]-th depth and at [max_depth]
+     only; true when the run stops at [i] because its reasons are stable,
+     in which case depth [i]'s termination queries have run too. *)
   let depth i pending =
     let lits =
       timed_encode run (fun () ->
@@ -575,28 +638,21 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
             List.map (fun p -> (p, Cnf.lit ~pol:prop_pol unr ~frame:i p.ps_signal)) pending
           in
           (* The state latches of frame i, for the loop-free-path pairs the
-             termination checks may ask for. *)
-          if proof_checks_at i then
+             termination checks may ask for, and the guard of its pairs. *)
+          if proof_checks_at i then begin
             Hashtbl.replace run.latch_lits i
               (List.map (fun l -> Cnf.lit unr ~frame:i l) run.state_latches);
+            if i > 0 then begin
+              let g = Cnf.fresh_lit unr in
+              if i > 1 then
+                Cnf.add_clause unr [ Lit.negate g; Hashtbl.find run.guards (i - 1) ];
+              Hashtbl.replace run.guards i g
+            end
+          end;
           lits)
     in
-    if proof_checks_at i then begin
-      (* Forward termination: no loop-free path of length i from I; this
-         settles every pending property at once. *)
-      if solve_lfp run.lfp run i [ act_init; run.act_lfp ] = Solver.Unsat then
-        List.iter (decide (Proof { depth = i; kind = Forward_diameter })) pending
-      else
-        (* Backward termination: property inductive at depth i. *)
-        List.iter
-          (fun (p, p_i) ->
-            if
-              solve_lfp run.induction run i
-                [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
-              = Solver.Unsat
-            then decide (Proof { depth = i; kind = Backward_induction }) p)
-          lits
-    end;
+    List.iter (fun (p, p_i) -> p.ps_lits <- Array.append p.ps_lits [| p_i |]) lits;
+    if proof_checks_at i && (i mod stride = 0 || i = config.max_depth) then check i;
     (* Falsification: counterexample of length exactly i. *)
     List.iter
       (fun (p, p_i) ->
@@ -606,13 +662,14 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
             decide (Counterexample (extract_trace run ~property:p.ps_name i)) p
           | Solver.Unsat -> if config.collect_reasons then collect_reasons_from_core run i)
       lits;
-    (* CP_{i+1} = CP_i /\ P_i — only the proof checks assume [ps_act_cp], so
-       in pure falsification mode the clause is dead weight. *)
-    if config.proof_checks then
-      List.iter
-        (fun (p, p_i) ->
-          if p.ps_verdict = None then Cnf.add_clause unr [ Lit.negate p.ps_act_cp; p_i ])
-        lits
+    let stable =
+      match config.stop_on_stable with
+      | Some s -> config.collect_reasons && i - run.reasons_last_changed >= s
+      | None -> false
+    in
+    if stable && proof_checks_at i && !checked < i && undecided pending <> [] then
+      check i;
+    stable
   in
   let deadline_passed () =
     match config.deadline with
@@ -623,17 +680,16 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
      still undecided when the run stops. *)
   let completed = ref (-1) in
   let rec from i =
-    match List.filter (fun p -> p.ps_verdict = None) props with
+    match undecided props with
     | [] -> Bounded_safe config.max_depth
     | _ when i > config.max_depth -> Bounded_safe config.max_depth
     | _ when deadline_passed () -> Timed_out !completed
-    | pending -> (
-      Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () -> depth i pending);
+    | pending ->
+      let stable =
+        Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () -> depth i pending)
+      in
       completed := i;
-      match config.stop_on_stable with
-      | Some s when config.collect_reasons && i - run.reasons_last_changed >= s ->
-        Reasons_stable i
-      | Some _ | None -> from (i + 1))
+      if stable then Reasons_stable i else from (i + 1)
   in
   let stop =
     try from 0 with

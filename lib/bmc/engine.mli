@@ -2,7 +2,7 @@
     analysis — the BMC-1 algorithm of the paper (Fig. 1), parameterisable
     into BMC-2 and BMC-3 (Figs. 2–3) through {!hooks} and {!config}.
 
-    At every depth [i] the engine can run three queries against one
+    At a depth [i] the engine can run three queries against one
     incremental solver, selected by assumption literals:
 
     - forward termination: [I /\ LFP_i] — unsatisfiable when the forward
@@ -18,6 +18,42 @@
     unsatisfiable falsification query the engine can retrace the refutation
     and accumulate {e latch reasons} — the proof-based abstraction of Fig. 1
     lines 10–11.
+
+    {b Schedule.}  Falsification runs at every depth; the two termination
+    queries run at even depths and at [max_depth] only.  Both are monotone
+    in depth: a loop-free path of length [d+1] from [I] has a loop-free
+    prefix of length [d] from [I], and an induction counterexample of length
+    [d+1] has a loop-free suffix of length [d] that is one.  So when a
+    termination query at an even depth [d] answers unsatisfiable, the same
+    queries are asked at [d-1] first (the forward query if it answered
+    unsatisfiable at [d], the induction query of every property that [d]'s
+    answers would prove), and the least unsatisfiable depth decides.  At
+    one depth a diameter proof settles every undecided property and beats
+    an induction proof.  Since the check at [d-2] answered satisfiable,
+    verdicts, proof kinds and proved depths are those of checking every
+    depth.  A run that stops because its reasons are stable first asks the
+    termination queries of its last depth if that depth skipped them.
+
+    The query at [d-1] runs after frame [d] is encoded.  It is
+    equisatisfiable with the same query before frame [d] existed, because
+    the transition relation is total: every state has a successor (latch
+    next-states and gates are functions of the frame, inputs are free), and
+    every EMM read of the extra frame has a value consistent with
+    forwarding.  What must not reach past [d-1] is guarded per frame: the
+    pairs [(j, f)] of [LFP] by a guard [g_f] of frame [f >= 1], with
+    [g_f -> g_(f-1)], so that assuming [g_j] enables exactly the pairs of
+    [LFP_j]; and [CP_j] is assumed as the property literals of frames
+    [0..j-1] themselves.  The forward query at [j] assumes [I] and [g_j],
+    the induction query [g_j], [CP_j] and [~P_j]; at depth 0 there is no
+    guard.
+
+    Two effects of the schedule differ from checking every depth.  A run
+    stopped by its deadline or by a solver budget may stop one depth before
+    a proof that checking every depth would have reached: a proof at an odd
+    depth [d] is only found by the check at [d+1].  And with
+    [collect_reasons] and proof checks both on, a property proved at an odd
+    depth is also asked its falsification query there, whose core adds to
+    the latch reasons.
 
     The pairs of [LFP_i] are added on demand (Eén and Sörensson, "Temporal
     Induction by Incremental SAT Solving", BMC 2003).  Each depth encodes
@@ -45,9 +81,10 @@
     the last satisfiable answer of that kind.  An LFP query takes the last
     LFP model as it is, since a loop-free path from [I] grows at its end.
     An induction query takes the last induction model moved forward one
-    frame per depth since it was taken ([Cnf.shift_model]), since the
-    counterexample at depth [i] is mostly the one at depth [i-1] with a new
-    state in front (Eén and Sörensson).  Refinement re-solves keep the
+    frame per depth since it was taken ([Cnf.shift_model ~frames]), since
+    the counterexample at depth [i] is mostly the one at depth [i-1] with a
+    new state in front (Eén and Sörensson); a query at a depth at or below
+    the one the model was taken at takes it as it is.  Refinement re-solves keep the
     phases the solver saved from the model just found, and falsification
     queries are not seeded.  Phases only order the search, so no answer
     can move: every query still answers its formula, and verdicts, proof
@@ -184,7 +221,7 @@ type hooks = {
           pairs whose latch vectors some model repeats, each once), so
           termination proofs (forward diameter and backward induction)
           become sound for designs whose latch state repeats while memory
-          contents diverge, and run at every depth even on latch-free
+          contents diverge, and run past depth 0 even on latch-free
           write-port designs (where every pair repeats the empty latch
           vector).  The EMM layer provides its [mem_distinct_lit] here.
           [None] (the [no_hooks] default): distinctness ranges over latches
@@ -205,11 +242,13 @@ val check_all :
     incremental run, sharing the unrolled transition relation, the EMM
     constraints and all learnt clauses — the way the paper's platform
     processes the 216 reachability properties of its first industry case
-    study.  Per depth, the (property-independent) forward-diameter check,
-    when it fires, settles every undecided property at once; otherwise every
-    undecided property gets a backward-induction check against its own CP
-    assumption literal, then its own falsification query.  A property is
-    retired as soon as a counterexample or a proof lands.
+    study.  Per checked depth (see the schedule above), the
+    (property-independent) forward-diameter check, when it fires, settles
+    every undecided property at once; otherwise every undecided property
+    gets a backward-induction check against its own CP assumptions.  Then,
+    at every depth, each undecided property gets its own falsification
+    query.  A property is retired as soon as a counterexample or a proof
+    lands.
 
     When the run stops before deciding a property, the property gets the
     stop verdict: [Bounded_safe max_depth] after the last depth,

@@ -65,6 +65,7 @@ type t = {
   mutable folds : int;
   mutable hash_hits : int;
   mutable collapsed : int;
+  mutable spare : int array; (* [shift_model]'s second buffer *)
 }
 
 let create ?(free_latches = fun _ -> false) ?(simplify = true) ?(fold_init = false)
@@ -94,6 +95,7 @@ let create ?(free_latches = fun _ -> false) ?(simplify = true) ?(fold_init = fal
     folds = 0;
     hash_hits = 0;
     collapsed = 0;
+    spare = [||];
   }
 
 let solver t = t.solver
@@ -539,42 +541,57 @@ let lit_opt t ~frame s =
   if l = no_lit then None
   else Some (if Netlist.is_complement s then Lit.negate l else l)
 
-(* Every node encoded at frames [f] and [f + 1] passes its frame-[f] model
-   value to its frame-[f + 1] variable.  Reads come from [m] and writes go to
-   another array, so the order of the walk only matters where two writes land
-   on one variable (latch aliasing, structural hashing): the last one wins.
-   A fresh result has room for the variables of a few more frames, so that
-   a caller passing it back as [into] at the next depth reuses it. *)
-let shift_model ?into t ~depth m =
-  let len = Array.length m in
-  let n = max len (Solver.num_vars t.solver) in
-  let out =
-    match into with
-    | Some b when Array.length b >= n && b != m -> b
-    | Some _ | None -> Array.make (2 * n) (-1)
-  in
+(* Every node encoded at frames [f] and [f + 1] passes its frame-[f] value
+   in [src] to its frame-[f + 1] variable in [dst], over the solver's [n]
+   variables.  Reads come from [src] and writes go to [dst], so the order of
+   the walk only matters where two writes land on one variable (latch
+   aliasing, structural hashing): the last one wins. *)
+let shift_frame t ~depth ~n src dst =
+  let len = Array.length src in
   (* A loop, not [Array.blit]: the runtime's blit into a major-heap array
      goes through the write barrier word by word. *)
   for v = 0 to n - 1 do
-    Array.unsafe_set out v (if v < len then Array.unsafe_get m v else -1)
+    Array.unsafe_set dst v (if v < len then Array.unsafe_get src v else -1)
   done;
   for f = 0 to min depth (Array.length t.frames - 1) - 1 do
-    let src = t.frames.(f) and dst = t.frames.(f + 1) in
-    (* Frame-table entries are solver literals, so [out] has room for their
+    let sf = t.frames.(f) and df = t.frames.(f + 1) in
+    (* Frame-table entries are solver literals, so [dst] has room for their
        variables.  A literal is its variable times two plus its sign bit
        ([Lit]), spelled out here: the dev profile's [-opaque] turns every
        [Lit.var] into a call. *)
-    for id = 0 to min (Array.length src) (Array.length dst) - 1 do
-      let a = Array.unsafe_get src id in
+    for id = 0 to min (Array.length sf) (Array.length df) - 1 do
+      let a = Array.unsafe_get sf id in
       if a <> no_lit && a lsr 1 < len then begin
-        let x = Array.unsafe_get m (a lsr 1) and b = Array.unsafe_get dst id in
+        let x = Array.unsafe_get src (a lsr 1) and b = Array.unsafe_get df id in
         (* A literal's value is its variable's value flipped by its sign
            bit, both ways. *)
         if b <> no_lit && x >= 0 then
-          Array.unsafe_set out (b lsr 1) (x lxor (a land 1) lxor (b land 1))
+          Array.unsafe_set dst (b lsr 1) (x lxor (a land 1) lxor (b land 1))
       end
     done
-  done;
+  done
+
+(* [frames] one-frame passes alternate between the result and [t.spare] so
+   that the last one lands in the result.  Both buffers are sized to the
+   solver's variable count; a fresh one has room for the variables of a few
+   more frames, so that a caller passing its result back as [into] at the
+   next depth reuses it. *)
+let shift_model ?into ?(frames = 1) t ~depth m =
+  if frames < 1 then invalid_arg "Cnf.shift_model: frames < 1";
+  let n = Solver.num_vars t.solver in
+  let fresh () = Array.make (2 * n) (-1) in
+  let out =
+    match into with
+    | Some b when Array.length b >= n && b != m -> b
+    | Some _ | None -> fresh ()
+  in
+  if frames > 1 && Array.length t.spare < n then t.spare <- fresh ();
+  let rec pass k src =
+    let dst = if k land 1 = 1 then out else t.spare in
+    shift_frame t ~depth ~n src dst;
+    if k > 1 then pass (k - 1) dst
+  in
+  pass frames m;
   out
 
 let and_lit ?tag ?(pol = Both) t lits = and_lits t ?tag pol lits

@@ -99,22 +99,31 @@ val lit_opt : t -> frame:int -> Netlist.signal -> Satsolver.Lit.t option
     has no encoding at that frame yet.  Unlike {!lit} this never extends the
     formula — safe to call after a [Sat] answer to read model values. *)
 
-val shift_model : ?into:int array -> t -> depth:int -> int array -> int array
+val shift_model :
+  ?into:int array -> ?frames:int -> t -> depth:int -> int array -> int array
 (** [shift_model t ~depth m] moves a model, in [Solver.raw_model]'s format,
     one time frame forward: for every node encoded at both frame [f] and
     frame [f + 1] ([f < depth]), the frame-[f + 1] variable takes the value
     [m] gives the frame-[f] literal, signs respected.  Every other entry is
     copied from [m], and entries past [m]'s end read [-1], up to the
-    solver's variable count; the result may be longer.  Where latch aliasing
-    or structural hashing puts two nodes on one variable, the last write
-    wins.  The walk reads the per-frame node tables: O(nodes x depth)
-    integer reads, allocating nothing per node.
+    solver's variable count; entries past that count are unspecified.
+    Where latch aliasing or structural hashing puts two nodes on one
+    variable, the last write wins.  The walk reads the per-frame node
+    tables: O(nodes x depth) integer reads, allocating nothing per node.
+
+    [~frames:k] (default 1, at least 1) moves the model [k] frames: the
+    result is that of [k] one-frame shifts in a row.  They alternate
+    between the result and one spare buffer that the unroller keeps, so a
+    shift allocates nothing per frame.
 
     [into], when it has room for every variable and is not [m], is
     overwritten up to the variable count and returned instead of a fresh
-    array: a caller shifting at every depth passes back its last result.
-    For phase hints ([Solver.seed_phases], which reads no entry past the
-    variable count): nothing makes the result a model. *)
+    array.  A fresh array, and the spare, is twice the variable count long:
+    a caller shifting at every depth passes back its last result, and
+    neither buffer grows past twice the variable count however the caller
+    passes results back.  For phase hints ([Solver.seed_phases], which
+    reads no entry past the variable count): nothing makes the result a
+    model. *)
 
 val fresh_lit : t -> Satsolver.Lit.t
 (** A fresh positive literal, for auxiliary constraint variables. *)

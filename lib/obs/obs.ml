@@ -56,10 +56,14 @@ let rows t = List.rev t.rev_rows
 let num_rows t = t.n
 let open_spans t = List.map fst t.stack
 
-(* Cumulative words allocated by this process so far. *)
+(* Cumulative words this domain has allocated so far.  Not
+   [Gc.quick_stat]: on OCaml 5.1 its counters stand still between minor
+   collections.  [Gc.minor_words] counts up to the allocation pointer, and
+   [Gc.counters]' major and promoted words are the domain's own, exact at
+   each call; its minor count is not. *)
 let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let push t row =
   t.rev_rows <- (t.pid, row) :: t.rev_rows;

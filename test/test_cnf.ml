@@ -202,6 +202,58 @@ let test_shift_model () =
   let reused = Cnf.shift_model ~into:(Array.make n 7) unr ~depth:3 m in
   Alcotest.(check (array int)) "into agrees" (Array.sub shifted 0 n) (Array.sub reused 0 n)
 
+(* [~frames:k] is [k] one-frame shifts in a row, and a caller that passes a
+   result back as both the model and [into] keeps a buffer of at most twice
+   the variable count: the counter of [test_shift_model], unrolled to depth
+   5. *)
+let test_shift_model_frames () =
+  let ctx = Hdl.create () in
+  let en = Hdl.input_bit ctx "en" in
+  let cnt = Hdl.reg ctx ~init:(Some 0) "cnt" ~width:2 in
+  Hdl.connect ctx cnt (Hdl.mux2 ctx en (Hdl.incr ctx cnt) cnt);
+  let net = Hdl.netlist ctx in
+  let solver = Solver.create () in
+  let unr = Cnf.create solver net in
+  let depth = 5 in
+  for frame = 0 to depth do
+    Array.iter (fun s -> ignore (Cnf.lit unr ~frame s)) cnt
+  done;
+  let assumptions =
+    Cnf.act_init unr :: List.init (depth + 1) (fun frame -> Cnf.lit unr ~frame en)
+  in
+  Alcotest.(check bool) "sat" true (Solver.solve ~assumptions solver = Solver.Sat);
+  let m = Solver.raw_model solver in
+  let n = Solver.num_vars solver in
+  let counter frame a =
+    Array.fold_right
+      (fun s acc ->
+        let l = Cnf.lit unr ~frame s in
+        (2 * acc) + Bool.to_int ((a.(Lit.var l) = 1) = Lit.sign l))
+      cnt 0
+  in
+  for k = 1 to 4 do
+    let once = Cnf.shift_model ~frames:k unr ~depth m in
+    let stepwise = ref m in
+    for _ = 1 to k do
+      stepwise := Cnf.shift_model unr ~depth !stepwise
+    done;
+    Alcotest.(check (array int))
+      (Printf.sprintf "%d frames at once = %d single frames" k k)
+      (Array.sub !stepwise 0 n) (Array.sub once 0 n);
+    Alcotest.(check int)
+      (Printf.sprintf "frame %d holds frame 0's count" k)
+      (counter 0 m) (counter k once)
+  done;
+  let passed_back = ref (Cnf.shift_model unr ~depth m) in
+  for k = 1 to 8 do
+    passed_back :=
+      Cnf.shift_model ~into:!passed_back ~frames:(1 + (k mod 2)) unr ~depth !passed_back;
+    Alcotest.(check bool)
+      (Printf.sprintf "call %d: %d entries for %d variables" k (Array.length !passed_back) n)
+      true
+      (Array.length !passed_back <= 2 * n)
+  done
+
 let test_constant_nodes () =
   let net = Netlist.create () in
   Netlist.add_property net "p" Netlist.true_;
@@ -359,6 +411,8 @@ let () =
           Alcotest.test_case "constant nodes" `Quick test_constant_nodes;
           Alcotest.test_case "shift_model moves a model one frame" `Quick
             test_shift_model;
+          Alcotest.test_case "shift_model by k frames, buffers bounded" `Quick
+            test_shift_model_frames;
           Alcotest.test_case "negative frame rejected" `Quick test_negative_frame_rejected;
           Alcotest.test_case "check_all consistency" `Quick
             (check_all_consistency ~certify:false);

@@ -470,6 +470,46 @@ let test_oracle_catches_init_consistency () =
   Printf.printf "BDD oracle caught dropped eq. (6) constraints on %d/%d classic seeds\n%!"
     caught classic_oracle_seeds
 
+(* Proved depths are least depths.  Termination queries run at every other
+   depth, and an Unsat answer asks the skipped depth first, so a proof at
+   depth d must mean that no depth below d proves: with proofs on, every
+   proof at d > 0 of the classic, latch-poor and saturating seeds is re-run
+   to [max_depth = d - 1], where it must not prove, and to [max_depth = d],
+   where it must prove the same way at the same depth.  The bound always
+   gets its termination queries, so both re-runs ask every depth they
+   reach. *)
+let test_proved_depths_least () =
+  let proofs = ref 0 in
+  List.iter
+    (fun (sweep, depth, cfg_of) ->
+      for id = 0 to 49 do
+        let net = build (cfg_of id) in
+        let verdict max_depth =
+          let config = { Bmc.Engine.default_config with max_depth } in
+          (fst (Emm.check ~config net ~property:"p")).Bmc.Engine.verdict
+        in
+        match verdict depth with
+        | Bmc.Engine.Proof { depth = d; _ } as proof when d > 0 ->
+          incr proofs;
+          let shown v = Format.asprintf "%a" Bmc.Engine.pp_verdict v in
+          (match verdict (d - 1) with
+          | Bmc.Engine.Proof _ as early ->
+            Alcotest.failf "%s seed %d: %s, but bound %d gives %s" sweep id (shown proof)
+              (d - 1) (shown early)
+          | _ -> ());
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d at bound %d" sweep id d)
+            (shown proof) (shown (verdict d))
+        | _ -> ()
+      done)
+    [
+      ("classic", depth_bound, random_cfg);
+      ("latch-poor", latch_poor_depth, latch_poor_cfg);
+      ("saturating", saturating_depth, saturating_cfg);
+    ];
+  Printf.printf "%d proofs at depth > 0 re-run at their depth and one below\n%!" !proofs;
+  Alcotest.(check bool) "some proof to re-run" true (!proofs > 0)
+
 (* The shrinker itself, against an artificial mismatch predicate whose
    failure region is known in closed form: "fails iff two write ports or
    depth >= 3".  From a maximal configuration the greedy pass must strip
@@ -596,6 +636,8 @@ let () =
             `Quick test_latch_poor_mutation_detected;
           Alcotest.test_case "fixed over-proof regression (latch repeats, memory \
                               diverges)" `Quick test_overproof_regression;
+          Alcotest.test_case "proved depths are least depths" `Quick
+            test_proved_depths_least;
         ] );
       (* Its own group as well: `test_differential.exe test oracle`. *)
       ( "oracle",

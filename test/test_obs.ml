@@ -3,7 +3,8 @@
    Everything runs against an injected fixed clock and [~track_alloc:false],
    so no test depends on wall-clock readings or on how much the runtime
    happens to allocate: exporter output is byte-reproducible and asserted
-   as such. *)
+   as such.  The one exception, "allocation is exact per span", measures
+   allocation itself, within a stated slack. *)
 
 let fixed_recorder ?(pid = 7) () =
   Obs.create ~clock:(Obs.Clock.fixed ()) ~pid ~track_alloc:false ()
@@ -499,6 +500,41 @@ let test_random_nesting =
             shape);
       match Obs.validate (Obs.rows r) with Ok () -> true | Error _ -> false)
 
+(* A span records the words allocated inside it, whether or not a minor
+   collection falls inside: a short list (no collection), an array the
+   runtime puts straight in the major heap, and a list longer than the
+   minor heap.  The slack covers the recorder's own rows. *)
+let test_span_alloc_exact () =
+  let r = Obs.create ~pid:1 () in
+  let keep = ref [] in
+  let spans =
+    with_recorder r (fun () ->
+        List.map
+          (fun (name, words, alloc) ->
+            Gc.minor ();
+            Obs.span name (fun () -> keep := alloc () :: !keep);
+            (name, words))
+          [
+            ("short list", 3 * 1_000, fun () -> Obj.repr (List.init 1_000 Fun.id));
+            ("major array", 1_001, fun () -> Obj.repr (Array.make 1_000 0));
+            ("long list", 3 * 400_000, fun () -> Obj.repr (List.init 400_000 Fun.id));
+          ])
+  in
+  ignore (Sys.opaque_identity !keep);
+  List.iter
+    (fun (name, words) ->
+      let recorded =
+        List.find_map
+          (function
+            | _, Obs.End { name = n; alloc_words; _ } when n = name -> Some alloc_words
+            | _ -> None)
+          (Obs.rows r)
+        |> Option.get
+      in
+      if recorded < float_of_int words || recorded > float_of_int (words + 256) then
+        Alcotest.failf "%s: %d words allocated, %.0f recorded" name words recorded)
+    spans
+
 let () =
   Alcotest.run "obs"
     [
@@ -517,6 +553,7 @@ let () =
           Alcotest.test_case "unclosed span" `Quick test_unclosed_span_detected;
           Alcotest.test_case "backwards time" `Quick test_backwards_time_detected;
           Alcotest.test_case "close_open_spans" `Quick test_close_open_spans;
+          Alcotest.test_case "allocation is exact per span" `Quick test_span_alloc_exact;
         ] );
       ( "counters",
         [
